@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, contact, expr, geom, harmonic, product, report
+from . import __version__, contact, expr, geom
 from .contact import (
     AlmostContactMetricStructure, TransSasakianFactor, builtin_factor,
-    estimate_alpha_beta, factor_class_report, tamper_phi_scale,
+    factor_class_report, tamper_phi_scale,
     transverse_curvature_report, transverse_properties_report,
     validate_axioms, verify_trans_sasakian,
 )
@@ -33,7 +32,6 @@ from .harmonic import (
 from .product import (
     DEFAULT_AB_GRID, build_product, connection_closed_form_report,
     curvature_closed_form_report, integrability_report, nabla_J_report,
-    product_invariants_report,
 )
 from .report import CheckReport, canonical_json, run_report_markdown
 
@@ -62,6 +60,47 @@ class ManifestError(Exception):
 def _expect(cond, path, message):
     if not cond:
         raise ManifestError(path, message)
+
+
+def _finite(value, path):
+    """A finite float from a manifest number or numeric string."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ManifestError(path, f"expected a number, got {value!r}") from None
+    _expect(math.isfinite(x), path, f"expected a finite number, got {value!r}")
+    return x
+
+
+def _integer(value, path):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ManifestError(path, f"expected an integer, got {value!r}") from None
+
+
+def _box_overrides(box, factors):
+    """Validated {key: (lo, hi)} sampling-box overrides.
+
+    A key names a factor coordinate, bare or as f1.<name> or f2.<name>, or a
+    product coordinate as build_product names it (<name>1, <name>2), bare
+    or as product.<name>.
+    """
+    n1, n2 = (F.chart.names for F in factors)
+    charts = {"f1": n1, "f2": n2,
+              "product": tuple(n + "1" for n in n1) + tuple(n + "2" for n in n2)}
+    known = {key for tag, names in charts.items() for n in names
+             for key in (n, f"{tag}.{n}")}
+    out = {}
+    for key, iv in box.items():
+        path = f"$.sampling.box.{key}"
+        _expect(key in known, path,
+                f"unknown coordinate; valid: {', '.join(sorted(known))}")
+        _expect(isinstance(iv, list) and len(iv) == 2, path, "expected [lo, hi]")
+        lo, hi = _finite(iv[0], f"{path}[0]"), _finite(iv[1], f"{path}[1]")
+        _expect(lo <= hi, path, "need lo <= hi")
+        out[key] = (lo, hi)
+    return out
 
 
 def _parse_expr(src, names, path):
@@ -172,13 +211,15 @@ def resolve_manifest(raw) -> dict:
         for i, ab in enumerate(grid):
             _expect(isinstance(ab, list) and len(ab) == 2,
                     f"$.product.grid[{i}]", "expected [a, b]")
-            a, b = float(ab[0]), float(ab[1])
+            a = _finite(ab[0], f"$.product.grid[{i}][0]")
+            b = _finite(ab[1], f"$.product.grid[{i}][1]")
             _expect(b != 0.0, f"$.product.grid[{i}]", "b must be nonzero")
             ab_grid.append((a, b))
     elif "a" in prod or "b" in prod:
         _expect("a" in prod and "b" in prod, "$.product",
                 "need both 'a' and 'b'")
-        a, b = float(prod["a"]), float(prod["b"])
+        a = _finite(prod["a"], "$.product.a")
+        b = _finite(prod["b"], "$.product.b")
         _expect(b != 0.0, "$.product.b", "b must be nonzero")
         ab_grid = [(a, b)]
     else:
@@ -195,18 +236,22 @@ def resolve_manifest(raw) -> dict:
 
     sampling = raw.get("sampling", {})
     _expect(isinstance(sampling, dict), "$.sampling", "expected an object")
-    count = int(sampling.get("count", DEFAULTS["count"]))
+    count = _integer(sampling.get("count", DEFAULTS["count"]), "$.sampling.count")
     _expect(count >= 1, "$.sampling.count", "count must be >= 1")
-    seed = int(sampling.get("seed", DEFAULTS["seed"]))
+    seed = _integer(sampling.get("seed", DEFAULTS["seed"]), "$.sampling.seed")
     box_over = sampling.get("box", {})
     _expect(isinstance(box_over, dict), "$.sampling.box", "expected object")
+    box_over = _box_overrides(box_over, loaded)
 
     numerics = raw.get("numerics", {})
     _expect(isinstance(numerics, dict), "$.numerics", "expected an object")
     mode = numerics.get("mode", DEFAULTS["mode"])
     _expect(mode in ("jet", "fd"), "$.numerics.mode", "mode is jet or fd")
-    tol = float(numerics.get("tol", DEFAULTS["tol"]))
-    fd_step = float(numerics.get("fd_step", DEFAULTS["fd_step"]))
+    tol = _finite(numerics.get("tol", DEFAULTS["tol"]), "$.numerics.tol")
+    _expect(tol > 0, "$.numerics.tol", "tol must be > 0")
+    fd_step = _finite(numerics.get("fd_step", DEFAULTS["fd_step"]),
+                      "$.numerics.fd_step")
+    _expect(fd_step > 0, "$.numerics.fd_step", "fd_step must be > 0")
 
     return {
         "factors": loaded,
@@ -216,8 +261,7 @@ def resolve_manifest(raw) -> dict:
         "checks": list(checks),
         "count": count,
         "seed": seed,
-        "box_overrides": {str(k): (float(v[0]), float(v[1]))
-                          for k, v in box_over.items()},
+        "box_overrides": box_over,
         "mode": mode,
         "tol": tol,
         "fd_step": fd_step,
@@ -323,19 +367,14 @@ def run(mf) -> dict:
                 "integrability": integrability_report,
                 "codifferential": codifferential_report,
                 "harmonicity": harmonicity_report,
+                "astheno": astheno_residual,
                 "energy": energy_report,
             }
             for ab in mf["ab_grid"]:
-                label = f"{check}[a={ab[0]:g},b={ab[1]:g}]"
-                if check == "astheno":
-                    def fn(ab=ab):
-                        P, pts = get_product(ab)
-                        return astheno_residual(ev, P, pts, tol).to_check(tol)
-                else:
-                    def fn(ab=ab, impl=per_product[check]):
-                        P, pts = get_product(ab)
-                        return impl(ev, P, pts, tol)
-                run_one(label, fn)
+                def fn(ab=ab, impl=per_product[check]):
+                    P, pts = get_product(ab)
+                    return impl(ev, P, pts, tol)
+                run_one(f"{check}[a={ab[0]:g},b={ab[1]:g}]", fn)
 
     overall = all(c.verdict in PASS_VERDICTS for c in checks_out)
     out = {

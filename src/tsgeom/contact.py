@@ -16,11 +16,11 @@ from . import expr, geom, riemann
 from .expr import Evaluator, parse
 from .geom import (
     EndomorphismField, KFormField, MetricField, OneFormField, VectorField,
-    chart, coordinate_field, endo_apply_field, endo_compose, endo_field,
+    chart, coordinate_field, endo_apply_field, endo_field,
     kform_from_components, metric_field, one_form_as_kform, one_form_field,
     vector_field,
 )
-from .report import CheckReport, ResidualTracker, verdict_for
+from .report import CheckReport, ResidualTracker
 
 
 class ContactError(Exception):

@@ -12,7 +12,6 @@ oracle for the jet engine; it is selected per run, never mixed per call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -9,7 +9,7 @@ norms downstream are sup-norms over these components).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -150,35 +150,11 @@ def endo_apply_field(A: EndomorphismField, X: VectorField) -> VectorField:
     return VectorField(A.chart, tuple(comps))
 
 
-def endo_compose(A: EndomorphismField, B: EndomorphismField) -> EndomorphismField:
-    same_chart(A, B)
-    d = A.chart.dim
-    comps = [[expr.add_many(expr.mul(A.comps[i][k], B.comps[k][j]) for k in range(d))
-              for j in range(d)] for i in range(d)]
-    return endo_field(A.chart, comps)
-
-
-def oneform_apply_field(eta: OneFormField, X: VectorField) -> Expression:
-    same_chart(eta, X)
-    return expr.add_many(expr.mul(eta.comps[i], X.comps[i])
-                         for i in range(eta.chart.dim))
-
-
 def metric_pair_field(g: MetricField, X: VectorField, Y: VectorField) -> Expression:
     same_chart(g, X, Y)
     d = g.chart.dim
     return expr.add_many(expr.mul(expr.mul(g.comps[i][j], X.comps[i]), Y.comps[j])
                          for i in range(d) for j in range(d))
-
-
-def scale_field(c, X: VectorField) -> VectorField:
-    ce = c if isinstance(c, (expr.Const, expr.Coord, expr.Unary, expr.Binary)) else expr.const(c)
-    return VectorField(X.chart, tuple(expr.mul(ce, cmp) for cmp in X.comps))
-
-
-def add_fields(X: VectorField, Y: VectorField) -> VectorField:
-    same_chart(X, Y)
-    return VectorField(X.chart, tuple(expr.add(a, b) for a, b in zip(X.comps, Y.comps)))
 
 
 def coordinate_field(chart_, i) -> VectorField:
@@ -190,79 +166,61 @@ def coordinate_field(chart_, i) -> VectorField:
 # Batched field evaluation
 # ---------------------------------------------------------------------------
 
+def _eval_comps(ev: Evaluator, comps, points):
+    """Stacked jets of a nested tuple of component expressions.
+
+    For comps nested to shape S (a bare expression has S = ()), returns
+    val[..., *S], grad[..., *S, m] = d_m and hess[..., *S, m, n], batched
+    over the leading axes of points. Each distinct expression is evaluated
+    once per call, so repeated components (ZERO entries, the mirrored half
+    of a metric) cost one jet.
+    """
+    pts = np.asarray(points, dtype=float)
+    shape, flat = (), [comps]
+    while flat and isinstance(flat[0], tuple):
+        shape += (len(flat[0]),)
+        flat = [e for row in flat for e in row]
+    unique = {}
+    slots = [unique.setdefault(e, len(unique)) for e in flat]
+    jets = [ev.jet(e, pts) for e in unique]
+    base, d = pts.shape[:-1], pts.shape[-1]
+    val = np.empty(base + shape)
+    grad = np.empty(base + shape + (d,))
+    hess = np.empty(base + shape + (d, d))
+    flat_val = val.reshape(base + (-1,))
+    flat_grad = grad.reshape(base + (-1, d))
+    flat_hess = hess.reshape(base + (-1, d, d))
+    for c, slot in enumerate(slots):
+        j = jets[slot]
+        flat_val[..., c] = j.value
+        flat_grad[..., c, :] = j.grad
+        flat_hess[..., c, :, :] = j.hess
+    return val, grad, hess
+
+
 def eval_scalar(ev: Evaluator, e: Expression, points):
     """(value, grad, hess) of a scalar expression, batched over points."""
-    j = ev.jet(e, points)
-    return np.asarray(j.value, dtype=float), j.grad, j.hess
+    return _eval_comps(ev, e, points)
 
 
 def eval_vector(ev: Evaluator, X: VectorField, points):
     """Stacked jets: val[..., k], grad[..., k, m] = d_m X^k, hess[..., k, m, n]."""
-    pts = np.asarray(points, dtype=float)
-    d = X.chart.dim
-    base = pts.shape[:-1]
-    val = np.empty(base + (d,))
-    grad = np.empty(base + (d, d))
-    hess = np.empty(base + (d, d, d))
-    for k, e in enumerate(X.comps):
-        j = ev.jet(e, pts)
-        val[..., k] = j.value
-        grad[..., k, :] = j.grad
-        hess[..., k, :, :] = j.hess
-    return val, grad, hess
+    return _eval_comps(ev, X.comps, points)
 
 
 def eval_endo(ev: Evaluator, A: EndomorphismField, points):
     """val[..., i, j], grad[..., i, j, m], hess[..., i, j, m, n]."""
-    pts = np.asarray(points, dtype=float)
-    d = A.chart.dim
-    base = pts.shape[:-1]
-    val = np.empty(base + (d, d))
-    grad = np.empty(base + (d, d, d))
-    hess = np.empty(base + (d, d, d, d))
-    for i in range(d):
-        for j_, e in enumerate(A.comps[i]):
-            j = ev.jet(e, pts)
-            val[..., i, j_] = j.value
-            grad[..., i, j_, :] = j.grad
-            hess[..., i, j_, :, :] = j.hess
-    return val, grad, hess
+    return _eval_comps(ev, A.comps, points)
 
 
 def eval_oneform(ev: Evaluator, eta: OneFormField, points):
-    pts = np.asarray(points, dtype=float)
-    d = eta.chart.dim
-    base = pts.shape[:-1]
-    val = np.empty(base + (d,))
-    grad = np.empty(base + (d, d))
-    hess = np.empty(base + (d, d, d))
-    for k, e in enumerate(eta.comps):
-        j = ev.jet(e, pts)
-        val[..., k] = j.value
-        grad[..., k, :] = j.grad
-        hess[..., k, :, :] = j.hess
-    return val, grad, hess
+    """val[..., k], grad[..., k, m], hess[..., k, m, n]."""
+    return _eval_comps(ev, eta.comps, points)
 
 
 def eval_metric(ev: Evaluator, g: MetricField, points):
-    """Symmetric evaluation: only i <= j components are walked."""
-    pts = np.asarray(points, dtype=float)
-    d = g.chart.dim
-    base = pts.shape[:-1]
-    val = np.empty(base + (d, d))
-    grad = np.empty(base + (d, d, d))
-    hess = np.empty(base + (d, d, d, d))
-    for i in range(d):
-        for j_ in range(i, d):
-            j = ev.jet(g.comps[i][j_], pts)
-            val[..., i, j_] = j.value
-            grad[..., i, j_, :] = j.grad
-            hess[..., i, j_, :, :] = j.hess
-            if j_ != i:
-                val[..., j_, i] = j.value
-                grad[..., j_, i, :] = j.grad
-                hess[..., j_, i, :, :] = j.hess
-    return val, grad, hess
+    """val[..., i, j], grad[..., i, j, m], hess[..., i, j, m, n]."""
+    return _eval_comps(ev, g.comps, points)
 
 
 def lie_bracket(ev: Evaluator, X: VectorField, Y: VectorField, p) -> np.ndarray:
@@ -271,19 +229,6 @@ def lie_bracket(ev: Evaluator, X: VectorField, Y: VectorField, p) -> np.ndarray:
     xv, xg, _ = eval_vector(ev, X, p)
     yv, yg, _ = eval_vector(ev, Y, p)
     return np.einsum("...i,...ki->...k", xv, yg) - np.einsum("...i,...ki->...k", yv, xg)
-
-
-def lie_bracket_jet(ev: Evaluator, X: VectorField, Y: VectorField, p):
-    """[X,Y] with first derivatives: (val[..., k], grad[..., k, n])."""
-    same_chart(X, Y)
-    xv, xg, xh = eval_vector(ev, X, p)
-    yv, yg, yh = eval_vector(ev, Y, p)
-    val = np.einsum("...i,...ki->...k", xv, yg) - np.einsum("...i,...ki->...k", yv, xg)
-    grad = (np.einsum("...in,...ki->...kn", xg, yg)
-            + np.einsum("...i,...kin->...kn", xv, yh)
-            - np.einsum("...in,...ki->...kn", yg, xg)
-            - np.einsum("...i,...kin->...kn", yv, xh))
-    return val, grad
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +345,7 @@ def wedge_power_field(omega: KFormField, m: int) -> KFormField:
 
 def eval_form(ev: Evaluator, omega: KFormField, p):
     """(comps, grads, hesses) of the stored components at p."""
-    pts = np.asarray(p, dtype=float)
-    d = omega.chart.dim
-    base = pts.shape[:-1]
-    n = len(omega.comps)
-    val = np.empty(base + (n,))
-    grad = np.empty(base + (n, d))
-    hess = np.empty(base + (n, d, d))
-    for c, e in enumerate(omega.comps):
-        j = ev.jet(e, pts)
-        val[..., c] = j.value
-        grad[..., c, :] = j.grad
-        hess[..., c, :, :] = j.hess
-    return val, grad, hess
+    return _eval_comps(ev, omega.comps, p)
 
 
 def _d_from_grads(dim, k, grads):
@@ -435,19 +368,13 @@ def _d_from_grads(dim, k, grads):
 
 
 def _d_from_grads_and_hess(dim, k, grads, hesses):
-    """dω components together with their first derivatives."""
-    val = _d_from_grads(dim, k, grads)
-    in_idx = form_indices(dim, k)
-    in_pos = {idx: i for i, idx in enumerate(in_idx)}
-    out_idx = form_indices(dim, k + 1)
-    grad = np.zeros(hesses.shape[:-3] + (len(out_idx), dim))
-    for o, I in enumerate(out_idx):
-        acc = 0.0
-        for l in range(k + 1):
-            rest = I[:l] + I[l + 1:]
-            acc = acc + (-1.0) ** l * hesses[..., in_pos[rest], I[l], :]
-        grad[..., o, :] = acc
-    return val, grad
+    """dω components together with their first derivatives.
+
+    The derivative of dω is d applied to the Hessian, with the outer
+    derivative axis moved to the front and back again.
+    """
+    grad = _d_from_grads(dim, k, np.moveaxis(hesses, -1, 0))
+    return _d_from_grads(dim, k, grads), np.moveaxis(grad, 0, -1)
 
 
 def exterior_derivative(ev: Evaluator, omega: KFormField, p) -> KFormValue:

@@ -10,8 +10,6 @@ J, independent of any closed form under test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr, geom, riemann
@@ -20,7 +18,7 @@ from .expr import Evaluator
 from .geom import KFormField, form_indices, kform_from_components
 from .product import (
     DEFAULT_AB_GRID, ProductData, ProductHermitian, build_product,
-    integrability_report, spanning_fields,
+    integrability_report,
 )
 from .report import (
     CheckReport, FAIL_FACTOR, ResidualTracker, verdict_for,
@@ -44,6 +42,15 @@ INCONCLUSIVE_H = "inconclusive"
 # Pointwise quantities
 # ---------------------------------------------------------------------------
 
+def _frame_sum_delta(C0i, frame):
+    """sum_a (nabla_{u_a} J) u_a over the frame rows, added in frame order.
+
+    The order is kept because deltaJ residuals are often constant over the
+    points, so their worst point is decided at roundoff.
+    """
+    return sum(np.einsum("ijm,m->ij", C0i, u) @ u for u in frame)
+
+
 def codifferential_J(pd: ProductData, i):
     """deltaJ at point i: the frame sum and the named closed forms.
 
@@ -51,10 +58,7 @@ def codifferential_J(pd: ProductData, i):
     """
     C0, _ = pd.nabla_J()
     fr = pd.frame(i)
-    total = np.zeros(pd.P.dim)
-    for u in fr:
-        nJ = np.einsum("ijm,m->ij", C0[i], u)
-        total += nJ @ u
+    total = _frame_sum_delta(C0[i], fr)
     P = pd.P
     a, b = P.a, P.b
     a1, b1 = float(pd.a1[i]), float(pd.b1[i])
@@ -78,13 +82,9 @@ def nabla_deltaJ_J(pd: ProductData, i, delta=None):
 
 def chern_ricci_P(pd: ProductData, i):
     """P = (1/2) sum_i R(u_i, J u_i) as a matrix, over the adapted frame."""
-    riem = pd.md.riemann()[i]
-    J0 = pd.Jv[i]
-    out = np.zeros((pd.P.dim, pd.P.dim))
-    for u in pd.frame(i):
-        Ju = J0 @ u
-        out += np.einsum("lkij,i,j->lk", riem, u, Ju)
-    return 0.5 * out
+    fr = pd.frame(i)
+    return 0.5 * np.einsum("lkij,ai,aj->lk", pd.md.riemann()[i], fr,
+                           fr @ pd.Jv[i].T)
 
 
 def rough_laplacian_J(pd: ProductData, i):
@@ -98,11 +98,8 @@ def rough_laplacian_J(pd: ProductData, i):
 
 def commutator_condition_bracket(g0, phi0, frame_block, U):
     """2 [g(e_j, U) phi e_j - g(e_j, phi U) e_j] summed over the block frame."""
-    out = np.zeros(len(U))
-    phiU = phi0 @ U
-    for e in frame_block:
-        out += 2.0 * (float(e @ g0 @ U) * (phi0 @ e) - float(e @ g0 @ phiU) * e)
-    return out
+    E = frame_block
+    return 2.0 * ((E @ g0 @ U) @ (E @ phi0.T) - (E @ g0 @ (phi0 @ U)) @ E)
 
 
 def sufficient_condition_tensors(pd: ProductData, i):
@@ -118,15 +115,14 @@ def sufficient_condition_tensors(pd: ProductData, i):
             ("factor1", e_blk, pd.phi1v[i], float(pd.a1[i]), float(pd.b1[i])),
             ("factor2", f_blk, pd.phi2v[i], float(pd.a2[i]), float(pd.b2[i]))):
         cond_max = 0.0
-        comm_max = 0.0
         for U in blk:
             cond = av * bv * commutator_condition_bracket(g0, phiv, blk, U)
-            cond_max = max(cond_max, float(np.max(np.abs(cond))) if len(cond) else 0.0)
-            for e in blk:
-                Re = np.einsum("lkij,i,j->lk", riem, e, phiv @ e)
-                comm = J0 @ (Re @ U) - Re @ (J0 @ U)
-                comm_max = max(comm_max, pd.residual_norm(i, comm))
-        out[tag] = {"condition_max": cond_max, "commutator_max": comm_max}
+            cond_max = max(cond_max, float(np.max(np.abs(cond))))
+        # Re[a] = R(e_a, phi e_a); comm[a, :, b] = [J, Re[a]] e_b
+        Re = np.einsum("lkij,ai,aj->alk", riem, blk, blk @ phiv.T)
+        comm = (J0 @ Re - Re @ J0) @ blk.T
+        out[tag] = {"condition_max": cond_max,
+                    "commutator_max": pd.residual_norm(i, comm)}
     return out
 
 
@@ -159,7 +155,7 @@ def harmonicity_report(ev: Evaluator, P: ProductHermitian, points, tol
         fr = pd.frame(i)
         J0 = pd.Jv[i]
         eye = np.eye(pd.P.dim)
-        gram = np.array([[u @ g0 @ v for v in fr] for u in fr])
+        gram = fr @ g0 @ fr.T
         t_gate.update(max(float(np.max(np.abs(J0 @ J0 + eye))),
                           float(np.max(np.abs(J0.T @ g0 @ J0 - g0))),
                           float(np.max(np.abs(gram - eye)))), p)
@@ -232,6 +228,7 @@ def dirichlet_energy_density(pd: ProductData, i) -> float:
     g0 = pd.md.g0[i]
     fr = pd.frame(i)
     total = 0.0
+    # term by term in frame order, as in _frame_sum_delta
     for u in fr:
         nJ = np.einsum("ijm,m->ij", C0[i], u)
         for v in fr:
@@ -303,22 +300,8 @@ def _pullback_field(J: geom.EndomorphismField, omega: KFormField) -> KFormField:
     return KFormField(omega.chart, k, tuple(out))
 
 
-@dataclass
-class AsthenoReport:
-    m_complex: int
-    max_residual: float
-    mean_residual: float
-    worst_point: tuple | None
-    verdict: str
-
-    def to_check(self, tol):
-        return CheckReport("astheno", tol, self.max_residual,
-                           self.mean_residual, self.worst_point, self.verdict,
-                           details={"m_complex": self.m_complex})
-
-
 def astheno_residual(ev: Evaluator, P: ProductHermitian, points, tol, *,
-                     m_override=None, check_integrable=True) -> AsthenoReport:
+                     m_override=None, check_integrable=True) -> CheckReport:
     """sup-norm of d(d^c(Omega^(m-2))) with d^c = Jinv o d o J-pullback.
 
     m = 2 short-circuits to a pass with residual exactly zero. Requires an
@@ -326,7 +309,8 @@ def astheno_residual(ev: Evaluator, P: ProductHermitian, points, tol, *,
     """
     m = m_override if m_override is not None else P.m_complex
     if m == 2:
-        return AsthenoReport(2, 0.0, 0.0, None, "pass")
+        return CheckReport("astheno", tol, 0.0, 0.0, None, "pass",
+                           details={"m_complex": 2})
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -354,8 +338,8 @@ def astheno_residual(ev: Evaluator, P: ProductHermitian, points, tol, *,
         Cv, Cg = geom.endo_pullback_jet(-Jv[i], -Jg[i], k1, Bv, Bg)
         Dv = geom.d_of_jet_form(P.dim, k1, Cv, Cg)
         t.update_many(Dv, p)
-    verdict = verdict_for(t.max, tol)
-    return AsthenoReport(m, t.max, t.mean, t.worst_point, verdict)
+    return CheckReport("astheno", tol, t.max, t.mean, t.worst_point,
+                       verdict_for(t.max, tol), details={"m_complex": m})
 
 
 def ddc_scalar(ev: Evaluator, P: ProductHermitian, f: expr.Expression, p):
@@ -393,24 +377,18 @@ def mixed_frame(pd: ProductData, i, seed):
     def mix(block):
         n = len(block)
         if n == 0:
-            return []
+            return block
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        M = np.stack(block, axis=1) @ q
-        return [M[:, c] for c in range(n)]
+        return q.T @ block
 
-    return [fr[0], fr[1]] + mix(e_blk) + mix(f_blk)
+    return np.vstack([fr[:2], mix(e_blk), mix(f_blk)])
 
 
 def delta_and_P_with_frame(pd: ProductData, i, frame):
     C0, _ = pd.nabla_J()
-    riem = pd.md.riemann()[i]
-    J0 = pd.Jv[i]
-    delta = np.zeros(pd.P.dim)
-    Pm = np.zeros((pd.P.dim, pd.P.dim))
-    for u in frame:
-        nJ = np.einsum("ijm,m->ij", C0[i], u)
-        delta += nJ @ u
-        Pm += 0.5 * np.einsum("lkij,i,j->lk", riem, u, J0 @ u)
+    delta = _frame_sum_delta(C0[i], frame)
+    Pm = 0.5 * np.einsum("lkij,ai,aj->lk", pd.md.riemann()[i], frame,
+                         frame @ pd.Jv[i].T)
     return delta, Pm
 
 

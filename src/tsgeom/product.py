@@ -17,7 +17,8 @@ confirms and never silently reconcile a divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +43,6 @@ class ZeroB(ProductError):
 
 class UnvalidatedFactor(ProductError):
     pass
-
-
-def _shift_field_comps(comps, offset):
-    return tuple(expr.shift_coords(e, offset) for e in comps)
 
 
 @dataclass
@@ -241,7 +238,11 @@ def spanning_fields(P: ProductHermitian, factor: int):
 
 
 class ProductData:
-    """Batched jets of everything the product reports need."""
+    """Batched jets of everything the product reports need.
+
+    The single owner of per-(product, points) data: metric jets, structure
+    tensors, spanning fields with their cached jets, and adapted frames.
+    """
 
     def __init__(self, ev: Evaluator, P: ProductHermitian, points):
         pts = np.asarray(points, dtype=float)
@@ -274,11 +275,31 @@ class ProductData:
         self.md2 = riemann.MetricData(ev, P.f2.structure.g,
                                       P.factor_point(2, pts))
         self._frames = {}
+        self._jets = {}
         self._CJ = None
 
     def _scalar(self, e):
         v = np.asarray(self.ev.value(e, self.points), dtype=float)
         return np.broadcast_to(v, (self.points.shape[0],))
+
+    @cached_property
+    def span(self):
+        """{factor: spanning fields}, see spanning_fields."""
+        return {w: spanning_fields(self.P, w) for w in (1, 2)}
+
+    def jets(self, S: SpanField):
+        """Product-chart and factor-chart jets of a spanning field.
+
+        Returns ((val, grad, hess) on the product chart at the points,
+        (val, grad, hess) on the factor chart at the sliced points),
+        evaluated once per field.
+        """
+        if S.label not in self._jets:
+            fpts = self.P.factor_point(S.factor, self.points)
+            self._jets[S.label] = (
+                geom.eval_vector(self.ev, S.product_field, self.points),
+                geom.eval_vector(self.ev, S.factor_field, fpts))
+        return self._jets[S.label]
 
     def nabla_J(self):
         """C0[p,i,j,m] = (nabla_{d_m} J)^i_j and its gradient C1."""
@@ -287,17 +308,18 @@ class ProductData:
         return self._CJ
 
     def frame(self, i):
-        """Adapted G-orthonormal frame {xi1, J xi1, e_j, f_k} at point i."""
+        """Adapted G-orthonormal frame {xi1, J xi1, e_j, f_k} at point i.
+
+        An (n, d) array of row vectors.
+        """
         if i not in self._frames:
             g0 = self.md.g0[i]
             xi1 = self.xi1v[i]
-            Jxi1 = self.Jv[i] @ xi1
-            blocks = [xi1, Jxi1]
+            blocks = [xi1, self.Jv[i] @ xi1]
             for (emb, phiv) in ((self.P.e1, self.phi1v), (self.P.e2, self.phi2v)):
-                cand = [phiv[i][:, emb.offset + c] for c in range(emb.dim)]
-                sub = riemann.orthonormal_frame_within(g0, cand)
-                blocks.extend(sub)
-            self._frames[i] = blocks
+                blocks.extend(riemann.orthonormal_frame_within(
+                    g0, phiv[i][:, emb.block].T))
+            self._frames[i] = np.array(blocks)
         return self._frames[i]
 
     def frame_slices(self, i):
@@ -309,6 +331,11 @@ class ProductData:
 
     def residual_norm(self, i, vec):
         return riemann.vector_residual_norm(self.md.g0[i], self.frame(i), vec)
+
+
+def _value(pd: ProductData, S: SpanField, i):
+    """Product-chart value of a spanning field at point index i."""
+    return pd.jets(S)[0][0][i]
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +350,28 @@ def _factor_quantities(pd: ProductData, i, which):
             float(pd.a2[i]), float(pd.b2[i]))
 
 
+def _embedded(pd: ProductData, which, w):
+    """A factor-chart vector placed in its block of the product chart."""
+    out = np.zeros(pd.P.dim)
+    out[(pd.P.e1 if which == 1 else pd.P.e2).block] = w
+    return out
+
+
 def _factor_cov(pd: ProductData, i, which, X: SpanField, Y: SpanField):
     """Embedded factor covariant derivative nabla^i_X Y at point index i."""
+    _, (xv, _, _) = pd.jets(X)
+    _, (yv, yg, _) = pd.jets(Y)
     mdf = pd.md1 if which == 1 else pd.md2
-    emb = pd.P.e1 if which == 1 else pd.P.e2
-    fpts = pd.P.factor_point(which, pd.points)
-    xv, _, _ = geom.eval_vector(pd.ev, X.factor_field, fpts)
-    yv, yg, _ = geom.eval_vector(pd.ev, Y.factor_field, fpts)
-    w = riemann.cov_vector_at(mdf, i, xv[i], yv[i], yg[i])
-    out = np.zeros(pd.P.dim)
-    out[emb.block] = w
-    return out
+    return _embedded(pd, which,
+                     riemann.cov_vector_at(mdf, i, xv[i], yv[i], yg[i]))
+
+
+def _factor_curvature(pd: ProductData, i, which, U: SpanField, V: SpanField,
+                      Z: SpanField):
+    """Embedded factor curvature R^i(U, V) Z at point index i."""
+    mdf = pd.md1 if which == 1 else pd.md2
+    u, v, z = (pd.jets(S)[1][0][i] for S in (U, V, Z))
+    return _embedded(pd, which, riemann.curvature_values(mdf, i, u, v, z))
 
 
 def connection_variants(pd: ProductData, i, X: SpanField, Y: SpanField,
@@ -459,11 +497,8 @@ def nabla_j_variants(pd: ProductData, i, X: SpanField, Y: SpanField,
 
 
 def curvature_variants(pd: ProductData, i, U: SpanField, V: SpanField,
-                       Z: SpanField, Uval, Vval, Zval, factor_R):
-    """Named closed forms for R(U,V)Z with U,V D-sections of one factor.
-
-    factor_R(which, U, V, Z) supplies the embedded factor curvature.
-    """
+                       Z: SpanField, Uval, Vval, Zval):
+    """Named closed forms for R(U,V)Z with U,V D-sections of one factor."""
     P = pd.P
     a, b, lam = P.a, P.b, P.lam
     phi1, xi1, eta1, g1, a1, b1 = _factor_quantities(pd, i, 1)
@@ -472,7 +507,7 @@ def curvature_variants(pd: ProductData, i, U: SpanField, V: SpanField,
     if uf == 1:
         PhiUV = float(Uval @ g1 @ (phi1 @ Vval))
         if Z.factor == 1:
-            base = factor_R(1, U, V, Z)
+            base = _factor_curvature(pd, i, 1, U, V, Z)
             eZ = float(eta1 @ Zval)
             ref = base
             kos = (base
@@ -500,7 +535,7 @@ def curvature_variants(pd: ProductData, i, U: SpanField, V: SpanField,
                + 2 * a * a2 * b2 * PhiUV * eZ * (
                    -(a / b ** 2) * xi1 + (1.0 / b ** 2) * xi2))
         return {"reference": ref, "koszul": kos}
-    base = factor_R(2, U, V, Z)
+    base = _factor_curvature(pd, i, 2, U, V, Z)
     eZ = float(eta2 @ Zval)
     phiU = phi2 @ Uval
     phiV = phi2 @ Vval
@@ -525,35 +560,48 @@ def curvature_variants(pd: ProductData, i, U: SpanField, V: SpanField,
 # Reports
 # ---------------------------------------------------------------------------
 
-def _variant_trackers(names):
-    return {n: ResidualTracker(n) for n in names}
+def _adjudicate(pd: ProductData, name, tol, families, zero_families):
+    """Residuals of every family over the points, as one report.
 
-
-def _report_with_variants(name, tol, per_family):
-    """Assemble a report where each family carries per-variant residuals.
-
-    Family verdict: its best variant must be within tolerance. The matched
-    variant (and every divergent one) is recorded.
+    families maps a family name to (argument tuples, variant names, fn),
+    where fn(i, *args) returns the generic value and {variant: value} at
+    point index i; a variant's residual is the frame norm of generic - value.
+    A family's residual is that of its best variant, and the variants within
+    tolerance are recorded as matched. zero_families maps a family name to
+    (argument tuples, fn), where fn(i, *args) returns the residual of a
+    generic quantity that must vanish; one at or above tol raises the
+    report's max and verdict. Updates run point-major, so each tracker sees
+    its samples in point order.
     """
-    trackers = []
-    details = {}
-    for fam_name, variants in per_family.items():
-        best_name = min(variants, key=lambda k: variants[k].max)
-        best = variants[best_name]
-        summary = ResidualTracker(fam_name)
-        summary.count = best.count
-        summary.total = best.total
-        summary.max = best.max
-        summary.worst_point = best.worst_point
-        trackers.append(summary)
-        matched = sorted(k for k, t in variants.items() if t.max < tol)
-        details[fam_name] = {
-            "variants": {k: t.max for k, t in variants.items()},
-            "matched": matched,
-        }
-    rep = CheckReport.from_trackers(name, tol, trackers)
-    rep.details["variant_adjudication"] = details
+    trackers = {fam: {v: ResidualTracker(fam) for v in names}
+                for fam, (_, names, _) in families.items()}
+    zero = {fam: ResidualTracker(fam) for fam in zero_families}
+    for i, p in enumerate(pd.points):
+        for fam, (args, _, fn) in families.items():
+            for a in args:
+                generic, variants = fn(i, *a)
+                for vn, val in variants.items():
+                    trackers[fam][vn].update(pd.residual_norm(i, generic - val), p)
+        for fam, (args, fn) in zero_families.items():
+            for a in args:
+                zero[fam].update(fn(i, *a), p)
+
+    best = [min(v.values(), key=lambda t: t.max) for v in trackers.values()]
+    rep = CheckReport.from_trackers(name, tol, best)
+    rep.details["variant_adjudication"] = {
+        fam: {"variants": {k: t.max for k, t in v.items()},
+              "matched": sorted(k for k, t in v.items() if t.max < tol)}
+        for fam, v in trackers.items()}
+    for t in zero.values():
+        rep.details["families"][t.name] = t.summary()
+    over = [t.max for t in zero.values() if t.max >= tol]
+    if over:
+        rep.max_residual = max(rep.max_residual, *over)
+        rep.verdict = verdict_for(rep.max_residual, tol)
     return rep
+
+
+_BLOCKS = ((1, 1), (2, 2), (1, 2), (2, 1))
 
 
 def connection_closed_form_report(ev: Evaluator, P: ProductHermitian,
@@ -564,244 +612,118 @@ def connection_closed_form_report(ev: Evaluator, P: ProductHermitian,
     Reeb-pair identities nabla_{xi_i} xi_j = 0 (checked generically).
     """
     pd = ProductData(ev, P, points)
-    span1 = spanning_fields(P, 1)
-    span2 = spanning_fields(P, 2)
-    cases = {
-        "nabla_X1_Y1": [(X, Y) for X in span1 for Y in span1],
-        "nabla_X2_Y2": [(X, Y) for X in span2 for Y in span2],
-        "nabla_X1_Y2": [(X, Y) for X in span1 for Y in span2],
-        "nabla_X2_Y1": [(X, Y) for X in span2 for Y in span1],
-    }
-    per_family = {k: _variant_trackers(["reference", "koszul"])
-                  for k in cases}
-    t_reeb = ResidualTracker("nabla_xi_xi_zero")
+    span = pd.span
+    reebs = (span[1][0], span[2][0])
 
-    jets = {}
+    def cov(i, X, Y):
+        (yv, yg, _), _ = pd.jets(Y)
+        return riemann.cov_vector_at(pd.md, i, _value(pd, X, i), yv[i], yg[i])
 
-    def field_vals(S: SpanField):
-        if id(S) not in jets:
-            jets[id(S)] = geom.eval_vector(ev, S.product_field, pd.points)
-        return jets[id(S)]
+    def closed(i, X, Y):
+        return cov(i, X, Y), connection_variants(
+            pd, i, X, Y, _value(pd, X, i), _value(pd, Y, i))
 
-    for i in range(pd.points.shape[0]):
-        p = pd.points[i]
-        for fam, pairs in cases.items():
-            for (X, Y) in pairs:
-                xv, _, _ = field_vals(X)
-                yv, yg, _ = field_vals(Y)
-                generic = riemann.cov_vector_at(pd.md, i, xv[i], yv[i], yg[i])
-                variants = connection_variants(pd, i, X, Y, xv[i], yv[i])
-                for vn, val in variants.items():
-                    per_family[fam][vn].update(
-                        pd.residual_norm(i, generic - val), p)
-        for X in (span1[0], span2[0]):
-            for Y in (span1[0], span2[0]):
-                xv, _, _ = field_vals(X)
-                yv, yg, _ = field_vals(Y)
-                generic = riemann.cov_vector_at(pd.md, i, xv[i], yv[i], yg[i])
-                t_reeb.update(pd.residual_norm(i, generic), p)
-
-    rep = _report_with_variants("connection_closed_forms", tol, per_family)
-    rep.details["families"]["nabla_xi_xi_zero"] = t_reeb.summary()
-    if t_reeb.max >= tol:
-        rep.verdict = verdict_for(max(rep.max_residual, t_reeb.max), tol)
-        rep.max_residual = max(rep.max_residual, t_reeb.max)
-    return rep
+    families = {
+        f"nabla_X{u}_Y{v}": ([(X, Y) for X in span[u] for Y in span[v]],
+                             ("reference", "koszul"), closed)
+        for u, v in _BLOCKS}
+    zero = {"nabla_xi_xi_zero": (
+        [(X, Y) for X in reebs for Y in reebs],
+        lambda i, X, Y: pd.residual_norm(i, cov(i, X, Y)))}
+    return _adjudicate(pd, "connection_closed_forms", tol, families, zero)
 
 
 def nabla_J_report(ev: Evaluator, P: ProductHermitian, points, tol
                    ) -> CheckReport:
     """(nabla_X J) Y vs the four block closed forms; nabla_{xi_i} J = 0."""
     pd = ProductData(ev, P, points)
-    span1 = spanning_fields(P, 1)
-    span2 = spanning_fields(P, 2)
+    span = pd.span
     C0, _ = pd.nabla_J()
-    cases = {
-        "nabla_J_X1_Y1": ([(X, Y) for X in span1 for Y in span1],
-                          ["reference", "reference_single_beta", "koszul"]),
-        "nabla_J_X2_Y2": ([(X, Y) for X in span2 for Y in span2],
-                          ["reference", "koszul"]),
-        "nabla_J_X1_Y2": ([(X, Y) for X in span1 for Y in span2],
-                          ["reference", "koszul"]),
-        "nabla_J_X2_Y1": ([(X, Y) for X in span2 for Y in span1],
-                          ["reference", "reference_beta2", "koszul"]),
-    }
-    per_family = {k: _variant_trackers(v[1]) for k, v in cases.items()}
-    t_reeb = ResidualTracker("nabla_xiJ_zero")
 
-    jets = {}
+    def nabla_XJ(i, X):
+        return np.einsum("ijm,m->ij", C0[i], _value(pd, X, i))
 
-    def field_vals(S: SpanField):
-        if id(S) not in jets:
-            jets[id(S)] = geom.eval_vector(ev, S.product_field, pd.points)
-        return jets[id(S)]
+    def closed(i, X, Y):
+        return nabla_XJ(i, X) @ _value(pd, Y, i), nabla_j_variants(
+            pd, i, X, Y, _value(pd, X, i), _value(pd, Y, i))
 
-    for i in range(pd.points.shape[0]):
-        p = pd.points[i]
-        for fam, (pairs, _) in cases.items():
-            for (X, Y) in pairs:
-                xv, _, _ = field_vals(X)
-                yv, _, _ = field_vals(Y)
-                nJ = np.einsum("ijm,m->ij", C0[i], xv[i])
-                generic = nJ @ yv[i]
-                variants = nabla_j_variants(pd, i, X, Y, xv[i], yv[i])
-                for vn, val in variants.items():
-                    per_family[fam][vn].update(
-                        pd.residual_norm(i, generic - val), p)
-        for S in (span1[0], span2[0]):
-            xv, _, _ = field_vals(S)
-            nJ = np.einsum("ijm,m->ij", C0[i], xv[i])
-            t_reeb.update(riemann.endo_residual_norm(pd.md.g0[i], pd.frame(i), nJ), p)
-
-    rep = _report_with_variants("nabla_J_closed_forms", tol, per_family)
-    rep.details["families"]["nabla_xiJ_zero"] = t_reeb.summary()
-    if t_reeb.max >= tol:
-        rep.max_residual = max(rep.max_residual, t_reeb.max)
-        rep.verdict = verdict_for(rep.max_residual, tol)
-    return rep
+    names = {(1, 1): ("reference", "reference_single_beta", "koszul"),
+             (2, 2): ("reference", "koszul"),
+             (1, 2): ("reference", "koszul"),
+             (2, 1): ("reference", "reference_beta2", "koszul")}
+    families = {
+        f"nabla_J_X{u}_Y{v}": ([(X, Y) for X in span[u] for Y in span[v]],
+                               names[u, v], closed)
+        for u, v in _BLOCKS}
+    zero = {"nabla_xiJ_zero": (
+        [(span[1][0],), (span[2][0],)],
+        lambda i, S: riemann.endo_residual_norm(pd.md.g0[i], pd.frame(i),
+                                                nabla_XJ(i, S)))}
+    return _adjudicate(pd, "nabla_J_closed_forms", tol, families, zero)
 
 
 def curvature_closed_form_report(ev: Evaluator, P: ProductHermitian, points,
                                  tol) -> CheckReport:
     """Generic curvature of G vs the closed forms, including the Reeb rows."""
     pd = ProductData(ev, P, points)
-    span1 = spanning_fields(P, 1)
-    span2 = spanning_fields(P, 2)
-    d1span = [S for S in span1 if S.in_d]
-    d2span = [S for S in span2 if S.in_d]
-    allspan = span1 + span2
+    span = pd.span
+    xi = {w: span[w][0] for w in (1, 2)}
     riem = pd.md.riemann()
 
-    jets = {}
-    fvals = {}
+    def R(i, U, V, Z):
+        return np.einsum("lkij,i,j,k->l", riem[i], _value(pd, U, i),
+                         _value(pd, V, i), _value(pd, Z, i))
 
-    def field_vals(S: SpanField):
-        if id(S) not in jets:
-            jets[id(S)] = geom.eval_vector(ev, S.product_field, pd.points)
-        return jets[id(S)]
+    def closed(i, U, V, Z):
+        return R(i, U, V, Z), curvature_variants(
+            pd, i, U, V, Z, _value(pd, U, i), _value(pd, V, i),
+            _value(pd, Z, i))
 
-    def factor_vals(S: SpanField):
-        if id(S) not in fvals:
-            fpts = pd.P.factor_point(S.factor, pd.points)
-            fvals[id(S)] = geom.eval_vector(ev, S.factor_field, fpts)[0]
-        return fvals[id(S)]
+    def own_reeb(i, U, V):
+        """R(U, V) xi_w for U, V in factor w, against its printed shortcut."""
+        generic, variants = closed(i, U, V, xi[U.factor])
+        if U.factor == 1:
+            (uv, ug, _), _ = pd.jets(U)
+            (vv, vg, _), _ = pd.jets(V)
+            br = vg[i] @ uv[i] - ug[i] @ vv[i]
+            printed = -float(pd.b1[i]) * float(pd.eta1v[i] @ br) * pd.xi1v[i]
+        else:
+            phi2, xi2, _, g2, a2, b2 = _factor_quantities(pd, i, 2)
+            phiU = phi2 @ _value(pd, U, i)
+            phi2V = phi2 @ (phi2 @ _value(pd, V, i))
+            gpp2 = float(phiU @ g2 @ phi2V)
+            gpp3 = float(phiU @ g2 @ (phi2 @ phi2V))
+            printed = _factor_curvature(pd, i, 2, U, V, xi[2]) + P.lam * (
+                2 * a2 * b2 * gpp2 - 2 * b2 * b2 * gpp3) * xi2
+        return generic, {"reference": printed, "koszul": variants["koszul"]}
 
-    def factor_R(pd_, i):
-        def inner(which, U, V, Z):
-            mdf = pd_.md1 if which == 1 else pd_.md2
-            emb = pd_.P.e1 if which == 1 else pd_.P.e2
-            w = riemann.curvature_values(mdf, i, factor_vals(U)[i],
-                                         factor_vals(V)[i], factor_vals(Z)[i])
-            out = np.zeros(pd_.P.dim)
-            out[emb.block] = w
-            return out
-        return inner
-
-    # batched brackets for the printed Reeb-row form
-    br_cache = {}
-    for dspn in (d1span, d2span):
-        for U in dspn:
-            for V in dspn:
-                br_cache[(id(U), id(V))] = geom.lie_bracket(
-                    ev, U.product_field, V.product_field, pd.points)
+    def other_reeb(i, U, V):
+        """R(U, V) xi_other for U, V in one factor; printed as zero."""
+        generic, variants = closed(i, U, V, xi[3 - U.factor])
+        return generic, {"reference": np.zeros(P.dim),
+                         "koszul": variants["koszul"]}
 
     # diagonal pairs (U, U) are kept: the generic side vanishes there by
     # antisymmetry, which exposes symmetric transcription defects that
     # orthogonal off-diagonal pairs cannot see
-    fam_defs = {
-        "R_U1V1_Z1": [(U, V, Z) for U in d1span for V in d1span
-                      for Z in span1],
-        "R_U1V1_Z2": [(U, V, Z) for U in d1span for V in d1span
-                      for Z in span2],
-        "R_U2V2_Z1": [(U, V, Z) for U in d2span for V in d2span
-                      for Z in span1],
-        "R_U2V2_Z2": [(U, V, Z) for U in d2span for V in d2span
-                      for Z in span2],
-    }
-    per_family = {k: _variant_trackers(["reference", "koszul"])
-                  for k in fam_defs}
-    t_mix = ResidualTracker("R_xi1_xi2_zero")
-    reeb_particulars = {
-        "R_U1V1_xi1": _variant_trackers(["reference", "koszul"]),
-        "R_U1V1_xi2_zero": _variant_trackers(["reference", "koszul"]),
-        "R_U2V2_xi1_zero": _variant_trackers(["reference", "koszul"]),
-        "R_U2V2_xi2": _variant_trackers(["reference", "koszul"]),
-    }
-
-    for i in range(pd.points.shape[0]):
-        p = pd.points[i]
-        fR = factor_R(pd, i)
-        for fam, triples in fam_defs.items():
-            for (U, V, Z) in triples:
-                uv, _, _ = field_vals(U)
-                vv, _, _ = field_vals(V)
-                zv, _, _ = field_vals(Z)
-                generic = np.einsum("lkij,i,j,k->l", riem[i], uv[i], vv[i],
-                                    zv[i])
-                variants = curvature_variants(pd, i, U, V, Z, uv[i], vv[i],
-                                              zv[i], fR)
-                for vn, val in variants.items():
-                    per_family[fam][vn].update(
-                        pd.residual_norm(i, generic - val), p)
-        # R(xi1, xi2) annihilates everything
-        x1 = pd.xi1v[i]
-        x2 = pd.xi2v[i]
-        for Z in allspan:
-            zv, _, _ = field_vals(Z)
-            val = np.einsum("lkij,i,j,k->l", riem[i], x1, x2, zv[i])
-            t_mix.update(pd.residual_norm(i, val), p)
-        # Reeb rows of the block families, with their printed shortcuts
-        phi1, xi1, eta1, g1, a1, b1 = _factor_quantities(pd, i, 1)
-        phi2, xi2, eta2, g2, a2, b2 = _factor_quantities(pd, i, 2)
-        for (dspn, xiS, other_xi, fam_a, fam_b, which) in (
-                (d1span, span1[0], span2[0], "R_U1V1_xi1", "R_U1V1_xi2_zero", 1),
-                (d2span, span2[0], span1[0], "R_U2V2_xi2", "R_U2V2_xi1_zero", 2)):
-            for U in dspn:
-                for V in dspn:
-                    uv, _, _ = field_vals(U)
-                    vv, _, _ = field_vals(V)
-                    # own-Reeb row
-                    Zv = pd.xi1v[i] if which == 1 else pd.xi2v[i]
-                    generic = np.einsum("lkij,i,j,k->l", riem[i], uv[i],
-                                        vv[i], Zv)
-                    varmap = curvature_variants(pd, i, U, V, xiS, uv[i],
-                                                vv[i], Zv, fR)
-                    if which == 1:
-                        br = br_cache[(id(U), id(V))][i]
-                        printed = -b1 * float(eta1 @ br) * xi1
-                        varmap = {"reference": printed,
-                                  "koszul": varmap["koszul"]}
-                    else:
-                        gpp2 = float((phi2 @ uv[i]) @ g2
-                                     @ (phi2 @ (phi2 @ vv[i])))
-                        gpp3 = float((phi2 @ uv[i]) @ g2
-                                     @ (phi2 @ (phi2 @ (phi2 @ vv[i]))))
-                        base = fR(2, U, V, xiS)
-                        printed = base + P.lam * (
-                            2 * a2 * b2 * gpp2 - 2 * b2 * b2 * gpp3) * xi2
-                        varmap = {"reference": printed,
-                                  "koszul": varmap["koszul"]}
-                    for vn, val in varmap.items():
-                        reeb_particulars[fam_a][vn].update(
-                            pd.residual_norm(i, generic - val), p)
-                    # other-Reeb row: printed claims zero
-                    Zv2 = pd.xi2v[i] if which == 1 else pd.xi1v[i]
-                    generic2 = np.einsum("lkij,i,j,k->l", riem[i], uv[i],
-                                         vv[i], Zv2)
-                    varmap2 = curvature_variants(pd, i, U, V, other_xi,
-                                                 uv[i], vv[i], Zv2, fR)
-                    for vn, val in (("reference", np.zeros(P.dim)),
-                                    ("koszul", varmap2["koszul"])):
-                        reeb_particulars[fam_b][vn].update(
-                            pd.residual_norm(i, generic2 - val), p)
-
-    per_family.update(reeb_particulars)
-    rep = _report_with_variants("curvature_closed_forms", tol, per_family)
-    rep.details["families"]["R_xi1_xi2_zero"] = t_mix.summary()
-    if t_mix.max >= tol:
-        rep.max_residual = max(rep.max_residual, t_mix.max)
-        rep.verdict = verdict_for(rep.max_residual, tol)
-    return rep
+    pairs = {w: [(U, V) for U in span[w] if U.in_d
+                 for V in span[w] if V.in_d] for w in (1, 2)}
+    names = ("reference", "koszul")
+    families = {
+        f"R_U{w}V{w}_Z{z}": ([(U, V, Z) for U, V in pairs[w] for Z in span[z]],
+                             names, closed)
+        for w in (1, 2) for z in (1, 2)}
+    families.update({
+        "R_U1V1_xi1": (pairs[1], names, own_reeb),
+        "R_U1V1_xi2_zero": (pairs[1], names, other_reeb),
+        "R_U2V2_xi1_zero": (pairs[2], names, other_reeb),
+        "R_U2V2_xi2": (pairs[2], names, own_reeb),
+    })
+    # R(xi1, xi2) annihilates everything
+    zero = {"R_xi1_xi2_zero": (
+        [(Z,) for Z in span[1] + span[2]],
+        lambda i, Z: pd.residual_norm(i, R(i, xi[1], xi[2], Z)))}
+    return _adjudicate(pd, "curvature_closed_forms", tol, families, zero)
 
 
 def integrability_report(ev: Evaluator, P: ProductHermitian, points, tol

@@ -10,6 +10,7 @@ times live in an isolated "timings" object excluded from that contract.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,8 @@ class ResidualTracker:
 
     def update(self, value: float, point=None):
         v = float(abs(value))
+        if not math.isfinite(v):  # a NaN must fail, not vanish from the max
+            v = math.inf
         first = self.count == 0
         self.count += 1
         self.total += v
@@ -86,6 +89,9 @@ class CheckReport:
 
     @staticmethod
     def from_trackers(name, tol, trackers, verdict=None, details=None):
+        """Report over trackers; inconclusive if any family has no sample."""
+        if not trackers or any(t.count == 0 for t in trackers):
+            verdict = INCONCLUSIVE
         worst = max(trackers, key=lambda t: t.max) if trackers else None
         max_res = worst.max if worst else 0.0
         total = sum(t.total for t in trackers)

@@ -11,6 +11,10 @@ Index conventions, batched over a leading points axis where present:
     gamma0[..., k, i, j]        Christoffel symbols, symmetric in (i, j)
     gamma1[..., k, i, j, m] = d_m Gamma^k_ij
     riem[..., l, k, i, j]       R(d_i, d_j) d_k = riem[l,k,i,j] d_l
+
+Frames are (n, d) arrays whose rows are the frame vectors, so iterating,
+len and slicing walk the vectors, and a residual norm is one product with
+the frame: max|F g v| for a vector, max|F g M F^T| for an endomorphism.
 """
 
 from __future__ import annotations
@@ -275,7 +279,7 @@ def orthonormal_frame(g0: np.ndarray, preferred=(), pivot=1e-10):
         frame.append(w / norm)
     if len(frame) != d:
         raise RiemannError("could not complete an orthonormal frame")
-    return frame
+    return np.array(frame)
 
 
 def orthonormal_frame_within(g0: np.ndarray, candidates, pivot=1e-10):
@@ -293,19 +297,18 @@ def orthonormal_frame_within(g0: np.ndarray, candidates, pivot=1e-10):
         if norm < pivot:
             continue
         frame.append(w / norm)
-    return frame
-
-
-def frame_components(g0: np.ndarray, frame, vec: np.ndarray) -> np.ndarray:
-    """Components of vec in a g0-orthonormal frame (= g-inner products)."""
-    return np.array([float(vec @ g0 @ u) for u in frame])
+    return np.array(frame).reshape(len(frame), g0.shape[0])
 
 
 def vector_residual_norm(g0: np.ndarray, frame, vec: np.ndarray) -> float:
-    """Sup-norm of the frame components; bounds the g-operator norm pieces."""
-    return float(np.max(np.abs(frame_components(g0, frame, vec))))
+    """Sup-norm of the frame components (g-inner products with the frame).
+
+    vec may also be a stack of column vectors (..., d, N); the sup then runs
+    over all of them.
+    """
+    return float(np.max(np.abs(frame @ g0 @ vec)))
 
 
 def endo_residual_norm(g0: np.ndarray, frame, M: np.ndarray) -> float:
     """Sup over frame vectors of the residual of M applied to them."""
-    return max(vector_residual_norm(g0, frame, M @ u) for u in frame)
+    return float(np.max(np.abs(frame @ g0 @ M @ frame.T)))

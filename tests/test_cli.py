@@ -73,6 +73,24 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(write_manifest(tmp_path, data))
 
+    @pytest.mark.parametrize("edit, path", [
+        ({"sampling": {"count": "abc"}}, "$.sampling.count"),
+        ({"sampling": {"box": {"x": [1, -1]}}}, "$.sampling.box.x"),
+        ({"sampling": {"box": {"x": 3}}}, "$.sampling.box.x"),
+        ({"sampling": {"box": {"w": [0, 1]}}}, "$.sampling.box.w"),
+        ({"numerics": {"tol": -1}}, "$.numerics.tol"),
+        ({"numerics": {"tol": "inf"}}, "$.numerics.tol"),
+        ({"numerics": {"fd_step": 0}}, "$.numerics.fd_step"),
+        ({"product": {"a": "nan", "b": 1}}, "$.product.a"),
+        ({"product": {"a": 1, "b": "-inf"}}, "$.product.b"),
+    ], ids=["count_not_int", "box_lo_above_hi", "box_scalar",
+            "box_unknown_key", "tol_negative", "tol_infinite",
+            "fd_step_zero", "a_nan", "b_infinite"])
+    def test_bad_value_exit_2_with_path(self, tmp_path, capsys, edit, path):
+        m = write_manifest(tmp_path, dict(MINIMAL, **edit))
+        assert main(["verify", m]) == EXIT_CONFIG
+        assert f"configuration error: {path}:" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["verify", "/nonexistent/manifest.json"]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err

@@ -128,7 +128,7 @@ class TestSufficientCondition:
         g0 = np.eye(2)
         phi = np.array([[0.0, -1.0], [1.0, 0.0]])
         e1 = np.array([1.0, 0.0])
-        out = commutator_condition_bracket(g0, phi, [e1], e1)
+        out = commutator_condition_bracket(g0, phi, np.array([e1]), e1)
         assert out == pytest.approx(2.0 * (phi @ e1))
 
 

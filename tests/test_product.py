@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tsgeom import contact, geom, product, riemann
+from tsgeom import cli, contact, geom, product, riemann
 from tsgeom.contact import builtin_factor
 from tsgeom.expr import JET
 from tsgeom.geom import sample_points
@@ -278,3 +280,47 @@ class TestIntegrability:
         rep = integrability_report(JET, P, pts(P, 8), 1e-6)
         assert rep.max_residual > 0.1
         assert rep.verdict != "pass"
+
+
+class TestAdjudication:
+    """Matched variants of every closed-form family, pinned.
+
+    Sasakian-Heisenberg x the custom kenmotsu_beta2 factor of the example
+    manifest: beta = 2 separates the beta-dependent transcriptions, and
+    a != 0 couples the Reeb directions.
+    """
+
+    def expected(self, a):
+        both, koszul = ["koszul", "reference"], ["koszul"]
+        coupled = koszul if a else both
+        return {
+            "connection_closed_forms": {
+                "nabla_X1_Y1": both, "nabla_X1_Y2": coupled,
+                "nabla_X2_Y1": coupled, "nabla_X2_Y2": coupled},
+            "nabla_J_closed_forms": {
+                "nabla_J_X1_Y1": ["koszul", "reference",
+                                  "reference_single_beta"],
+                "nabla_J_X1_Y2": both, "nabla_J_X2_Y1": koszul,
+                "nabla_J_X2_Y2": coupled},
+            "curvature_closed_forms": {
+                "R_U1V1_Z1": both, "R_U1V1_Z2": coupled, "R_U1V1_xi1": both,
+                "R_U1V1_xi2_zero": both, "R_U2V2_Z1": both,
+                "R_U2V2_Z2": coupled, "R_U2V2_xi1_zero": both,
+                "R_U2V2_xi2": coupled},
+        }
+
+    @pytest.mark.parametrize("ab", DEFAULT_AB_GRID)
+    def test_matched_variants(self, ab):
+        path = (Path(__file__).resolve().parents[1] / "manifests"
+                / "custom_kenmotsu_beta2.json")
+        F1, F2 = cli.load_manifest(path)["factors"]
+        P = build_product(F1, F2, ab[0], ab[1], validate=False)
+        points = pts(P, 8)
+        got = {}
+        for fn in (connection_closed_form_report, nabla_J_report,
+                   curvature_closed_form_report):
+            rep = fn(JET, P, points, 1e-6)
+            assert rep.verdict == "pass"
+            got[rep.name] = {fam: info["matched"] for fam, info in
+                             rep.details["variant_adjudication"].items()}
+        assert got == self.expected(ab[0])

@@ -199,6 +199,23 @@ class TestFrames:
         gram = np.array([[u @ g0 @ v for v in frame] for u in frame])
         assert gram == pytest.approx(np.eye(4), abs=1e-10)
 
+    def test_residual_norms_match_the_per_vector_loop(self):
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(5, 5))
+        g0 = M @ M.T + 5 * np.eye(5)
+        frame = orthonormal_frame(g0, preferred=[rng.normal(size=5)])
+        assert frame.shape == (5, 5)
+        vec = rng.normal(size=5)
+        A = rng.normal(size=(5, 5))
+
+        def loop_norm(v):
+            return max(abs(float(v @ g0 @ u)) for u in frame)
+
+        assert riemann.vector_residual_norm(g0, frame, vec) == pytest.approx(
+            loop_norm(vec), rel=1e-12)
+        assert riemann.endo_residual_norm(g0, frame, A) == pytest.approx(
+            max(loop_norm(A @ u) for u in frame), rel=1e-12)
+
     def test_dependent_preferred_raises(self):
         with pytest.raises(DependentPreferredVectors):
             orthonormal_frame(np.eye(3), preferred=[np.array([1.0, 0, 0]),
