@@ -79,6 +79,27 @@ def _integer(value, path):
         raise ManifestError(path, f"expected an integer, got {value!r}") from None
 
 
+# Validators shared by the manifest fields and the command-line flags that
+# override them.
+
+def _count(value, path):
+    count = _integer(value, path)
+    _expect(count >= 1, path, "count must be >= 1")
+    return count
+
+
+def _seed(value, path):
+    seed = _integer(value, path)
+    _expect(seed >= 0, path, "seed must be >= 0")
+    return seed
+
+
+def _positive(value, path):
+    x = _finite(value, path)
+    _expect(x > 0, path, "must be > 0")
+    return x
+
+
 def _box_overrides(box, factors):
     """Validated {key: (lo, hi)} sampling-box overrides.
 
@@ -236,9 +257,8 @@ def resolve_manifest(raw) -> dict:
 
     sampling = raw.get("sampling", {})
     _expect(isinstance(sampling, dict), "$.sampling", "expected an object")
-    count = _integer(sampling.get("count", DEFAULTS["count"]), "$.sampling.count")
-    _expect(count >= 1, "$.sampling.count", "count must be >= 1")
-    seed = _integer(sampling.get("seed", DEFAULTS["seed"]), "$.sampling.seed")
+    count = _count(sampling.get("count", DEFAULTS["count"]), "$.sampling.count")
+    seed = _seed(sampling.get("seed", DEFAULTS["seed"]), "$.sampling.seed")
     box_over = sampling.get("box", {})
     _expect(isinstance(box_over, dict), "$.sampling.box", "expected object")
     box_over = _box_overrides(box_over, loaded)
@@ -247,11 +267,9 @@ def resolve_manifest(raw) -> dict:
     _expect(isinstance(numerics, dict), "$.numerics", "expected an object")
     mode = numerics.get("mode", DEFAULTS["mode"])
     _expect(mode in ("jet", "fd"), "$.numerics.mode", "mode is jet or fd")
-    tol = _finite(numerics.get("tol", DEFAULTS["tol"]), "$.numerics.tol")
-    _expect(tol > 0, "$.numerics.tol", "tol must be > 0")
-    fd_step = _finite(numerics.get("fd_step", DEFAULTS["fd_step"]),
-                      "$.numerics.fd_step")
-    _expect(fd_step > 0, "$.numerics.fd_step", "fd_step must be > 0")
+    tol = _positive(numerics.get("tol", DEFAULTS["tol"]), "$.numerics.tol")
+    fd_step = _positive(numerics.get("fd_step", DEFAULTS["fd_step"]),
+                        "$.numerics.fd_step")
 
     return {
         "factors": loaded,
@@ -445,22 +463,20 @@ def _add_common(sp):
 
 def _apply_flags(mf, args):
     if args.tol is not None:
-        mf["tol"] = args.tol
+        mf["tol"] = _positive(args.tol, "--tol")
     if args.samples is not None:
-        mf["count"] = args.samples
+        mf["count"] = _count(args.samples, "--samples")
     if args.seed is not None:
-        mf["seed"] = args.seed
+        mf["seed"] = _seed(args.seed, "--seed")
     if args.mode is not None:
         mf["mode"] = args.mode
     if args.ab:
         grid = []
         for item in args.ab:
-            try:
-                a, b = (float(x) for x in item.split(","))
-            except ValueError:
-                raise ManifestError("--ab", f"expected A,B got {item!r}")
-            if b == 0.0:
-                raise ManifestError("--ab", "b must be nonzero")
+            parts = item.split(",")
+            _expect(len(parts) == 2, "--ab", f"expected A,B got {item!r}")
+            a, b = (_finite(x, "--ab") for x in parts)
+            _expect(b != 0.0, "--ab", "b must be nonzero")
             grid.append((a, b))
         mf["ab_grid"] = grid
     return mf

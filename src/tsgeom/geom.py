@@ -421,49 +421,51 @@ def pair_form_vectors(omega: KFormValue, vectors) -> float:
 
 
 def endo_pullback(A: np.ndarray, omega: KFormValue) -> KFormValue:
-    """(A*ω)(X_1..X_k) = ω(A X_1, .., A X_k) via minor determinants."""
-    dim, k = omega.dim, omega.degree
-    if k == 0:
-        return omega
-    idxs = form_indices(dim, k)
-    comps = np.zeros(len(idxs))
-    for o, I in enumerate(idxs):
-        total = 0.0
-        cols = A[:, list(I)]
-        for s, Jw in enumerate(idxs):
-            w = omega.comps[s]
-            if w == 0.0:
-                continue
-            minor = cols[list(Jw), :]
-            total += w * np.linalg.det(minor)
-        comps[o] = total
-    return KFormValue(dim, k, comps)
+    """(A*ω)(X_1..X_k) = ω(A X_1, .., A X_k): endo_pullback_jet without
+    derivative directions."""
+    A = np.asarray(A, dtype=float)
+    comps, _ = endo_pullback_jet(A, np.empty(A.shape + (0,)), omega.degree,
+                                 omega.comps, np.empty(omega.comps.shape + (0,)))
+    return KFormValue(omega.dim, omega.degree, comps)
 
 
 def endo_pullback_jet(A: np.ndarray, Agrad: np.ndarray, k: int, comps, grads):
     """Pullback of a numeric k-form with gradients by A with gradients.
 
-    A: (d, d); Agrad: (d, d, m) with Agrad[i,j,m] = d_m A[i,j].
-    comps: (C,), grads: (C, d). Returns pulled (comps', grads').
+    (A*ω)_I = sum_J ω_J det A[J, I] over increasing multi-indices, and
+    d_m det A[J, I] = sum_r det of A[J, I] with row r replaced by
+    d_m A[J_r, I]. Row replacement keeps the derivative of a singular minor
+    exact (a structured J has many), which Jacobi's formula would not.
+
+    A: (p, d, d); Agrad: (p, d, d, m) with Agrad[., i, j, m] = d_m A[i, j];
+    comps: (p, C); grads: (p, C, m), C = C(d, k). The points axis p may be
+    left out on all four. Returns the pulled (comps', grads'). Each point
+    takes one stacked det over its C*C minors and their k*m row-replaced
+    copies; the stack is per point, not over all points, to keep the peak
+    memory at one point's minors.
     """
-    d = A.shape[0]
+    A = np.asarray(A, dtype=float)
+    single = A.ndim == 2
+    if single:
+        A, Agrad, comps, grads = (np.asarray(x, dtype=float)[None]
+                                  for x in (A, Agrad, comps, grads))
+    d, m = A.shape[-1], Agrad.shape[-1]
     idxs = form_indices(d, k)
-    out_v = np.zeros(len(idxs))
-    out_g = np.zeros((len(idxs), d))
-    for o, I in enumerate(idxs):
-        cols = list(I)
-        for s, Jw in enumerate(idxs):
-            rows = list(Jw)
-            M = A[np.ix_(rows, cols)]
-            detM = np.linalg.det(M)
-            out_v[o] += comps[s] * detM
-            # ∂det: sum over rows with that row differentiated
-            ddet = np.zeros(d)
-            for r in range(len(rows)):
-                Mr = M.copy()
-                for m in range(d):
-                    Mr[r, :] = Agrad[rows[r], cols, m]
-                    ddet[m] += np.linalg.det(Mr)
-                Mr[r, :] = M[r, :]
-            out_g[o, :] += grads[s, :] * detM + comps[s] * ddet
-    return out_v, out_g
+    C = len(idxs)
+    idx = np.array(idxs, dtype=np.intp).reshape(C, k)
+    rows, cols = idx[:, None, :, None], idx[None, :, None, :]
+    stack = np.empty((C, C, 1 + k * m, k, k))  # [J, I, minor or (r, m)]
+    out_v = np.empty((A.shape[0], C))
+    out_g = np.empty((A.shape[0], C, m))
+    for p in range(A.shape[0]):
+        stack[...] = A[p][rows, cols][:, :, None]
+        dA = np.moveaxis(Agrad[p][rows, cols], -1, 2)  # (C, C, m, k, k)
+        for r in range(k):
+            stack[:, :, 1 + r * m:1 + (r + 1) * m, r, :] = dA[:, :, :, r, :]
+        dets = np.linalg.det(stack)
+        det = dets[:, :, 0]
+        ddet = dets[:, :, 1:].reshape(C, C, k, m).sum(axis=2)
+        out_v[p] = np.einsum("j,ji->i", comps[p], det)
+        out_g[p] = (np.einsum("jm,ji->im", grads[p], det)
+                    + np.einsum("j,jim->im", comps[p], ddet))
+    return (out_v[0], out_g[0]) if single else (out_v, out_g)

@@ -328,16 +328,14 @@ def astheno_residual(ev: Evaluator, P: ProductHermitian, points, tol, *,
     # batched form jets: the pullback components are large expressions, so
     # walk them once for all points
     _, grads, hesses = geom.eval_form(ev, jg, pts)
+    # B = d(J* gamma), with first derivatives
+    Bv, Bg = geom._d_from_grads_and_hess(P.dim, jg.degree, grads, hesses)
+    # C = Jinv* B: pullback by J^{-1} = -J
+    Cv, Cg = geom.endo_pullback_jet(-Jv, -Jg, k1, Bv, Bg)
+    Dv = geom.d_of_jet_form(P.dim, k1, Cv, Cg)
     t = ResidualTracker("dd^c")
-    for i in range(pts.shape[0]):
-        p = pts[i]
-        # B = d(J* gamma), with first derivatives
-        Bv, Bg = geom._d_from_grads_and_hess(P.dim, jg.degree, grads[i],
-                                             hesses[i])
-        # C = Jinv* B: pullback by J^{-1} = -J
-        Cv, Cg = geom.endo_pullback_jet(-Jv[i], -Jg[i], k1, Bv, Bg)
-        Dv = geom.d_of_jet_form(P.dim, k1, Cv, Cg)
-        t.update_many(Dv, p)
+    for p, D in zip(pts, Dv):
+        t.update_many(D, p)
     return CheckReport("astheno", tol, t.max, t.mean, t.worst_point,
                        verdict_for(t.max, tol), details={"m_complex": m})
 

@@ -126,8 +126,11 @@ def _canonical(obj):
         return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        x = float(obj)
+        return x if math.isfinite(x) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -136,9 +139,11 @@ def _canonical(obj):
 
 
 def canonical_json(data) -> str:
-    """Sorted-key compact JSON; floats use shortest round-trip repr."""
+    """Sorted-key compact standard JSON; floats use shortest round-trip repr
+    and a non-finite float (the residual of a check that raised, or of a
+    NaN sample) is written as null."""
     return json.dumps(_canonical(data), sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False) + "\n"
+                      ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def strip_timings(report_dict):
@@ -160,6 +165,11 @@ def table1_markdown(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sci(x) -> str:
+    """A residual for markdown; a saved report holds null for a non-finite one."""
+    return "non-finite" if x is None or not math.isfinite(x) else f"{x:.3e}"
+
+
 def run_report_markdown(report_dict) -> str:
     lines = ["# Verification report", ""]
     overall = report_dict.get("overall_verdict", "?")
@@ -169,8 +179,8 @@ def run_report_markdown(report_dict) -> str:
     lines.append("--- | --- | --- | ---")
     for chk in report_dict.get("checks", []):
         lines.append(
-            f"{chk['name']} | {chk['max_residual']:.3e} | "
-            f"{chk['mean_residual']:.3e} | {chk['verdict']}")
+            f"{chk['name']} | {_sci(chk['max_residual'])} | "
+            f"{_sci(chk['mean_residual'])} | {chk['verdict']}")
         if chk.get("details", {}).get("table1_rows"):
             lines.append("")
             lines.append(table1_markdown(chk["details"]["table1_rows"]))

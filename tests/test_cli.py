@@ -83,12 +83,29 @@ class TestManifest:
         ({"numerics": {"fd_step": 0}}, "$.numerics.fd_step"),
         ({"product": {"a": "nan", "b": 1}}, "$.product.a"),
         ({"product": {"a": 1, "b": "-inf"}}, "$.product.b"),
+        ({"sampling": {"seed": -1}}, "$.sampling.seed"),
     ], ids=["count_not_int", "box_lo_above_hi", "box_scalar",
             "box_unknown_key", "tol_negative", "tol_infinite",
-            "fd_step_zero", "a_nan", "b_infinite"])
+            "fd_step_zero", "a_nan", "b_infinite", "seed_negative"])
     def test_bad_value_exit_2_with_path(self, tmp_path, capsys, edit, path):
         m = write_manifest(tmp_path, dict(MINIMAL, **edit))
         assert main(["verify", m]) == EXIT_CONFIG
+        assert f"configuration error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, path", [
+        (["--samples", "0"], "--samples"),
+        (["--tol", "0"], "--tol"),
+        (["--tol=-1e-6"], "--tol"),
+        (["--tol", "inf"], "--tol"),
+        (["--tol", "nan"], "--tol"),
+        (["--seed", "-1"], "--seed"),
+        (["--ab", "nan,1"], "--ab"),
+        (["--ab", "1,2,3"], "--ab"),
+    ], ids=["samples_zero", "tol_zero", "tol_negative", "tol_infinite",
+            "tol_nan", "seed_negative", "ab_nan", "ab_three_values"])
+    def test_bad_flag_exit_2_with_path(self, tmp_path, capsys, flags, path):
+        m = write_manifest(tmp_path, MINIMAL)
+        assert main(["verify", m, *flags]) == EXIT_CONFIG
         assert f"configuration error: {path}:" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, capsys):
@@ -228,6 +245,41 @@ class TestEmitAndMain:
         assert data["manifest"]["ab_grid"] == [[2.0, 1.0]]
         assert len(data["checks"]) == 1
         assert "a=2,b=1" in data["checks"][0]["name"]
+
+    def test_booleans_are_json_booleans(self):
+        mf = resolve_manifest({
+            "factors": [{"builtin": "cosymplectic_flat"},
+                        {"builtin": "cosymplectic_flat"}],
+            "product": {"a": 1.0, "b": 1.0},
+            "checks": ["integrability"],
+            "sampling": {"count": 4},
+        })
+        data = json.loads(canonical_json(run(mf)))
+        assert data["manifest"]["broken_j"] is False
+        assert data["checks"][0]["details"]["integrable"] is True
+
+    def test_error_check_is_strict_json(self, tmp_path, capsys):
+        # astheno on the broken-J product raises NotIntegrable: the failing
+        # check's infinite residual is written as null, not Infinity
+        m = write_manifest(tmp_path, {
+            "factors": [{"builtin": "sasakian_heisenberg"},
+                        {"builtin": "cosymplectic_flat"}],
+            "product": {"a": 1.0, "b": 1.0, "tamper": {"broken_j": True}},
+            "checks": ["astheno"],
+            "sampling": {"count": 6},
+        })
+        out = tmp_path / "r.json"
+        assert main(["verify", m, "--out", str(out)]) == EXIT_FAILED
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        data = json.loads(out.read_text(), parse_constant=reject)
+        chk = data["checks"][0]
+        assert chk["verdict"] == "fail"
+        assert chk["max_residual"] is None and chk["mean_residual"] is None
+        assert main(["report", str(out), "--format", "md"]) == EXIT_OK
+        assert "| non-finite | non-finite | fail" in capsys.readouterr().out
 
     def test_canonical_json_shortest_roundtrip_floats(self):
         s = canonical_json({"x": 0.1, "y": 1.0 / 3.0})

@@ -184,15 +184,115 @@ class TestPullback:
         assert out.comps == pytest.approx(np.array([np.linalg.det(J)]))
 
     def test_pullback_jet_consistency(self):
-        # gradient of the pullback matches FD of pullback values
+        # the value half is endo_pullback; the gradient matches the loop
         rng = np.random.default_rng(8)
         A = rng.normal(size=(3, 3))
-        Ag = rng.normal(size=(3, 3, 3)) * 0  # constant A: gradient term vanishes
+        Ag = rng.normal(size=(3, 3, 3))
         comps = rng.normal(size=3)
         grads = rng.normal(size=(3, 3))
         v, g = geom.endo_pullback_jet(A, Ag, 2, comps, grads)
         w = endo_pullback(A, KFormValue(3, 2, comps))
-        assert v == pytest.approx(w.comps)
+        v_ref, g_ref = _pullback_jet_loop(A, Ag, 2, comps, grads)
+        assert v == pytest.approx(w.comps, rel=1e-13, abs=1e-13)
+        assert v == pytest.approx(v_ref, rel=1e-13, abs=1e-13)
+        assert g == pytest.approx(g_ref, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("shape", ["random", "j_shaped"])
+    def test_pullback_jet_matches_scalar_det_loop(self, shape, k):
+        rng = np.random.default_rng(k)
+        A, Ag = _pullback_matrix(rng, shape)
+        C = len(form_indices(6, k))
+        comps = rng.normal(size=C)
+        grads = rng.normal(size=(C, 6))
+        v, g = geom.endo_pullback_jet(A, Ag, k, comps, grads)
+        v_ref, g_ref = _pullback_jet_loop(A, Ag, k, comps, grads)
+        assert v == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
+        assert g == pytest.approx(g_ref, rel=1e-12, abs=1e-12)
+        # the zero rows of a J-shaped A give exactly zero minors and
+        # derivatives; both sides must keep them exact
+        assert np.array_equal(v == 0.0, v_ref == 0.0)
+        assert np.array_equal(g == 0.0, g_ref == 0.0)
+        if shape == "j_shaped" and k == 3:
+            assert (v == 0.0).any() and (g == 0.0).any()
+
+    def test_pullback_jet_gradient_matches_central_difference(self):
+        # A(x) = A0 + x_m A1[m] + x_m^2 A2[m], omega(x) = c0 + c1 x
+        rng = np.random.default_rng(4)
+        d, k = 6, 3
+        C = len(form_indices(d, k))
+        A0, A1, A2 = (rng.normal(size=s) for s in
+                      [(d, d), (d, d, d), (d, d, d)])
+        c0, c1 = rng.normal(size=C), rng.normal(size=(C, d))
+
+        def A_of(x):
+            return A0 + np.einsum("ijm,m->ij", A1, x) \
+                + np.einsum("ijm,m->ij", A2, x ** 2)
+
+        x = rng.uniform(-0.5, 0.5, size=d)
+        Ag = A1 + 2.0 * A2 * x
+        _, g = geom.endo_pullback_jet(A_of(x), Ag, k, c0 + c1 @ x, c1)
+        h = 1e-5
+        fd = np.empty((C, d))
+        for m in range(d):
+            e = h * np.eye(d)[m]
+            vp = endo_pullback(A_of(x + e), KFormValue(d, k, c0 + c1 @ (x + e)))
+            vm = endo_pullback(A_of(x - e), KFormValue(d, k, c0 + c1 @ (x - e)))
+            fd[:, m] = (vp.comps - vm.comps) / (2 * h)
+        assert g == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    def test_pullback_jet_over_points_equals_single_calls(self):
+        rng = np.random.default_rng(5)
+        p, d, k = 4, 6, 2
+        C = len(form_indices(d, k))
+        A = rng.normal(size=(p, d, d))
+        Ag = rng.normal(size=(p, d, d, d))
+        comps = rng.normal(size=(p, C))
+        grads = rng.normal(size=(p, C, d))
+        v, g = geom.endo_pullback_jet(A, Ag, k, comps, grads)
+        assert v.shape == (p, C) and g.shape == (p, C, d)
+        for i in range(p):
+            vi, gi = geom.endo_pullback_jet(A[i], Ag[i], k, comps[i], grads[i])
+            assert np.array_equal(v[i], vi)
+            assert np.array_equal(g[i], gi)
+
+
+def _pullback_jet_loop(A, Agrad, k, comps, grads):
+    """Reference: one scalar det per minor, row replacement and direction."""
+    d = A.shape[0]
+    idxs = form_indices(d, k)
+    out_v = np.zeros(len(idxs))
+    out_g = np.zeros((len(idxs), Agrad.shape[-1]))
+    for o, I in enumerate(idxs):
+        cols = list(I)
+        for s, Jw in enumerate(idxs):
+            rows = list(Jw)
+            M = A[np.ix_(rows, cols)]
+            detM = np.linalg.det(M)
+            out_v[o] += comps[s] * detM
+            ddet = np.zeros(Agrad.shape[-1])
+            for r in range(len(rows)):
+                Mr = M.copy()
+                for m in range(Agrad.shape[-1]):
+                    Mr[r, :] = Agrad[rows[r], cols, m]
+                    ddet[m] += np.linalg.det(Mr)
+            out_g[o, :] += grads[s, :] * detM + comps[s] * ddet
+    return out_v, out_g
+
+
+def _pullback_matrix(rng, shape):
+    """A (6, 6) matrix and its gradient (6, 6, 6).
+
+    "j_shaped" has the pattern of a product almost complex structure built
+    from two contact factors' phi: rows 2 and 5 (the Reeb directions) are
+    zero in A and in its gradient, so every minor through them is singular.
+    """
+    if shape == "random":
+        return rng.normal(size=(6, 6)), rng.normal(size=(6, 6, 6))
+    phi = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    pattern = np.kron(np.ones((2, 2)), phi != 0.0)
+    A = pattern * rng.normal(size=(6, 6))
+    return A, pattern[..., None] * rng.normal(size=(6, 6, 6))
 
 
 class TestSampling:
