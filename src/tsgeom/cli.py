@@ -199,7 +199,8 @@ def _load_factor(entry, path):
         _expect(isinstance(tamper, dict), f"{path}.tamper", "expected object")
         scale = tamper.get("phi_scale")
         if scale is not None:
-            F = tamper_phi_scale(F, float(scale))
+            F = tamper_phi_scale(
+                F, _finite(scale, f"{path}.tamper.phi_scale"))
     return F
 
 
@@ -247,7 +248,9 @@ def resolve_manifest(raw) -> dict:
         ab_grid = list(DEFAULT_AB_GRID)
     tamper = prod.get("tamper", {})
     _expect(isinstance(tamper, dict), "$.product.tamper", "expected object")
-    broken_j = bool(tamper.get("broken_j", False))
+    broken_j = tamper.get("broken_j", False)
+    _expect(isinstance(broken_j, bool), "$.product.tamper.broken_j",
+            f"expected true or false, got {broken_j!r}")
 
     checks = raw.get("checks", [])
     _expect(isinstance(checks, list), "$.checks", "expected a list")

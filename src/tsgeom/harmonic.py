@@ -39,31 +39,46 @@ INCONCLUSIVE_H = "inconclusive"
 
 
 # ---------------------------------------------------------------------------
-# Pointwise quantities
+# Quantities at every point
 # ---------------------------------------------------------------------------
+#
+# Each helper returns arrays with a leading points axis; frames are the
+# (p, n, d) stacks of ProductData.frames.
 
-def _frame_sum_delta(C0i, frame):
-    """sum_a (nabla_{u_a} J) u_a over the frame rows, added in frame order.
-
-    The order is kept because deltaJ residuals are often constant over the
-    points, so their worst point is decided at roundoff.
-    """
-    return sum(np.einsum("ijm,m->ij", C0i, u) @ u for u in frame)
+def _along(C0, v):
+    """(nabla_v J) at every point, for a vector stack v (p, d)."""
+    return np.einsum("pijm,pm->pij", C0, v)
 
 
-def codifferential_J(pd: ProductData, i):
-    """deltaJ at point i: the frame sum and the named closed forms.
+def _frame_sum_delta(C0, frames):
+    """sum_a (nabla_{u_a} J) u_a over the frame rows, added in frame order."""
+    total = 0.0
+    for a in range(frames.shape[1]):
+        u = frames[:, a]
+        total = total + np.einsum("pij,pj->pi", _along(C0, u), u)
+    return total
 
-    Returns (frame_sum, {variant: value}).
+
+def _P_with_frame(pd: ProductData, frames):
+    """P = (1/2) sum_a R(u_a, J u_a) at every point, over the given frames."""
+    p, d = pd.Jv.shape[:2]
+    # S[i, j] = sum_a u_a^i (J u_a)^j; then P[l, k] = riem[l, k, i, j] S[i, j]
+    S = frames.swapaxes(1, 2) @ (frames @ pd.Jv.swapaxes(1, 2))
+    riem = pd.md.riemann().reshape(p, d * d, d * d)
+    return 0.5 * (riem @ S.reshape(p, d * d, 1)).reshape(p, d, d)
+
+
+def codifferential_J(pd: ProductData):
+    """deltaJ at every point: the frame sum and the named closed forms.
+
+    Returns (frame_sum, {variant: value}), each (p, d).
     """
     C0, _ = pd.nabla_J()
-    fr = pd.frame(i)
-    total = _frame_sum_delta(C0[i], fr)
+    total = _frame_sum_delta(C0, pd.frames)
     P = pd.P
     a, b = P.a, P.b
-    a1, b1 = float(pd.a1[i]), float(pd.b1[i])
-    a2, b2 = float(pd.a2[i]), float(pd.b2[i])
-    xi1, xi2 = pd.xi1v[i], pd.xi2v[i]
+    a1, b1, a2, b2 = (x[:, None] for x in (pd.a1, pd.b1, pd.a2, pd.b2))
+    xi1, xi2 = pd.xi1v, pd.xi2v
     n1, n2 = P.n1, P.n2
     reference = (2 * n1 * (a1 * xi1 - (a / b) * b1 * xi1 + (b1 / b) * xi2)
                  + 2 * n2 * (a2 * xi2 + b2 * xi1 + (a / b) * b2 * xi2))
@@ -72,63 +87,79 @@ def codifferential_J(pd: ProductData, i):
     return total, {"reference": reference, "koszul": koszul}
 
 
-def nabla_deltaJ_J(pd: ProductData, i, delta=None):
-    """(nabla_{deltaJ} J) at point i, from the frame-sum deltaJ."""
+def nabla_deltaJ_J(pd: ProductData, delta=None):
+    """(nabla_{deltaJ} J) at every point, from the frame-sum deltaJ."""
     if delta is None:
-        delta, _ = codifferential_J(pd, i)
+        delta, _ = codifferential_J(pd)
     C0, _ = pd.nabla_J()
-    return np.einsum("ijm,m->ij", C0[i], delta)
+    return _along(C0, delta)
 
 
-def chern_ricci_P(pd: ProductData, i):
-    """P = (1/2) sum_i R(u_i, J u_i) as a matrix, over the adapted frame."""
-    fr = pd.frame(i)
-    return 0.5 * np.einsum("lkij,ai,aj->lk", pd.md.riemann()[i], fr,
-                           fr @ pd.Jv[i].T)
+def chern_ricci_P(pd: ProductData):
+    """P = (1/2) sum_i R(u_i, J u_i) as (p, d, d), over the adapted frames."""
+    return _P_with_frame(pd, pd.frames)
 
 
-def rough_laplacian_J(pd: ProductData, i):
-    """Trace of the second covariant derivative of J over the frame."""
+def rough_laplacian_J(pd: ProductData):
+    """Trace of the second covariant derivative of J over the frames."""
     C0, C1 = pd.nabla_J()
-    out = np.zeros((pd.P.dim, pd.P.dim))
-    for u in pd.frame(i):
-        out += riemann.second_cov_endo_const(pd.md, i, C0[i], C1[i], u, u)
+    frames = pd.frames
+    out = 0.0
+    for a in range(frames.shape[1]):
+        u = frames[:, a]
+        out = out + riemann.second_cov_endo_const(pd.md, C0, C1, u, u)
     return out
 
 
 def commutator_condition_bracket(g0, phi0, frame_block, U):
-    """2 [g(e_j, U) phi e_j - g(e_j, phi U) e_j] summed over the block frame."""
+    """2 [g(e_j, U) phi e_j - g(e_j, phi U) e_j] summed over the block frame.
+
+    U is one vector or a stack of row vectors (..., N, d), giving (..., N, d);
+    leading axes of g0, phi0 and the block frame broadcast with it.
+    """
     E = frame_block
-    return 2.0 * ((E @ g0 @ U) @ (E @ phi0.T) - (E @ g0 @ (phi0 @ U)) @ E)
+    gE = g0 @ E.swapaxes(-1, -2)  # columns g e_j (g is symmetric)
+    phiT = phi0.swapaxes(-1, -2)
+    return 2.0 * ((U @ gE) @ (E @ phiT) - (U @ phiT @ gE) @ E)
 
 
-def sufficient_condition_tensors(pd: ProductData, i):
+def sufficient_condition_tensors(pd: ProductData):
     """The two sufficient-condition tensors, scaled by 2 alpha_i beta_i,
     plus the per-factor commutator pieces [J, R(e, phi e)] computed
-    generically."""
-    g0 = pd.md.g0[i]
-    J0 = pd.Jv[i]
-    riem = pd.md.riemann()[i]
-    _, e_blk, f_blk = pd.frame_slices(i)
+    generically. Each entry is a (p,) array of per-point maxima."""
+    g0 = pd.md.g0
+    J0 = pd.Jv
+    p, d = J0.shape[:2]
+    riem = pd.md.riemann().reshape(p, d * d, d * d)
+    e_blk, f_blk = pd.frame_blocks
     out = {}
     for (tag, blk, phiv, av, bv) in (
-            ("factor1", e_blk, pd.phi1v[i], float(pd.a1[i]), float(pd.b1[i])),
-            ("factor2", f_blk, pd.phi2v[i], float(pd.a2[i]), float(pd.b2[i]))):
-        cond_max = 0.0
-        for U in blk:
-            cond = av * bv * commutator_condition_bracket(g0, phiv, blk, U)
-            cond_max = max(cond_max, float(np.max(np.abs(cond))))
+            ("factor1", e_blk, pd.phi1v, pd.a1, pd.b1),
+            ("factor2", f_blk, pd.phi2v, pd.a2, pd.b2)):
+        n = blk.shape[1]
+        cond = ((av * bv)[:, None, None]
+                * commutator_condition_bracket(g0, phiv, blk, blk))
         # Re[a] = R(e_a, phi e_a); comm[a, :, b] = [J, Re[a]] e_b
-        Re = np.einsum("lkij,ai,aj->alk", riem, blk, blk @ phiv.T)
-        comm = (J0 @ Re - Re @ J0) @ blk.T
-        out[tag] = {"condition_max": cond_max,
-                    "commutator_max": pd.residual_norm(i, comm)}
+        outer = blk[:, :, :, None] * (blk @ phiv.swapaxes(1, 2))[:, :, None, :]
+        Re = (outer.reshape(p, n, d * d) @ riem.swapaxes(1, 2)).reshape(
+            p, n, d, d)
+        comm = ((J0[:, None] @ Re - Re @ J0[:, None])
+                @ blk.swapaxes(1, 2)[:, None])
+        out[tag] = {
+            "condition_max": np.max(np.abs(cond), axis=(1, 2), initial=0.0),
+            "commutator_max": riemann.vector_residual_norm(
+                g0, pd.frames, comm.swapaxes(1, 2).reshape(p, d, -1))}
     return out
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+def _max_abs(M):
+    """Per-point max |entry| of a (p, ...) stack."""
+    return np.abs(M).reshape(M.shape[0], -1).max(axis=1)
+
 
 def harmonicity_report(ev: Evaluator, P: ProductHermitian, points, tol
                        ) -> CheckReport:
@@ -138,56 +169,48 @@ def harmonicity_report(ev: Evaluator, P: ProductHermitian, points, tol
     sampled point; not-harmonic above the fail factor; inconclusive between.
     """
     pd = ProductData(ev, P, points)
-    t_crit = ResidualTracker("[J,P] - nabla_deltaJ_J")
-    t_delta = {"reference": ResidualTracker("deltaJ frame sum vs reference"),
-               "koszul": ResidualTracker("deltaJ frame sum vs koszul")}
-    t_ndj = ResidualTracker("nabla_deltaJ_J")
-    t_p1 = ResidualTracker("[J,lap J] - 2(nabla_deltaJ J - [J,P])")
-    t_cond = ResidualTracker("sufficient-condition tensors")
+    g0, fr, J0 = pd.md.g0, pd.frames, pd.Jv
+    eye = np.eye(P.dim)
     # harmonicity only makes sense for a G-compatible almost complex
     # structure and an honest orthonormal frame; gate on both so a damaged
     # J can never report as harmonic
-    t_gate = ResidualTracker("J^2/Hermitian/frame gate")
+    gate = np.maximum.reduce([
+        _max_abs(J0 @ J0 + eye), _max_abs(J0.swapaxes(1, 2) @ g0 @ J0 - g0),
+        _max_abs(fr @ g0 @ fr.swapaxes(1, 2) - eye)])
+    delta, variants = codifferential_J(pd)
+    ndj = nabla_deltaJ_J(pd, delta)
+    Pm = chern_ricci_P(pd)
+    JP = J0 @ Pm - Pm @ J0
+    lap = rough_laplacian_J(pd)
+    cond = sufficient_condition_tensors(pd)
+    residuals = {
+        "[J,P] - nabla_deltaJ_J": riemann.endo_residual_norm(g0, fr, JP - ndj),
+        "J^2/Hermitian/frame gate": gate,
+        "deltaJ frame sum vs reference": riemann.vector_residual_norm(
+            g0, fr, delta - variants["reference"]),
+        "deltaJ frame sum vs koszul": riemann.vector_residual_norm(
+            g0, fr, delta - variants["koszul"]),
+        "nabla_deltaJ_J": riemann.endo_residual_norm(g0, fr, ndj),
+        "[J,lap J] - 2(nabla_deltaJ J - [J,P])": riemann.endo_residual_norm(
+            g0, fr, (J0 @ lap - lap @ J0) - 2.0 * (ndj - JP)),
+        "sufficient-condition tensors": np.maximum(
+            cond["factor1"]["condition_max"], cond["factor2"]["condition_max"]),
+    }
+    trackers = {name: ResidualTracker.from_points(name, values, pd.points)
+                for name, values in residuals.items()}
+    t_delta = {k: trackers[f"deltaJ frame sum vs {k}"]
+               for k in ("reference", "koszul")}
 
-    for i in range(pd.points.shape[0]):
-        p = pd.points[i]
-        g0 = pd.md.g0[i]
-        fr = pd.frame(i)
-        J0 = pd.Jv[i]
-        eye = np.eye(pd.P.dim)
-        gram = fr @ g0 @ fr.T
-        t_gate.update(max(float(np.max(np.abs(J0 @ J0 + eye))),
-                          float(np.max(np.abs(J0.T @ g0 @ J0 - g0))),
-                          float(np.max(np.abs(gram - eye)))), p)
-        delta, variants = codifferential_J(pd, i)
-        for name, val in variants.items():
-            t_delta[name].update(
-                riemann.vector_residual_norm(g0, fr, delta - val), p)
-        ndj = nabla_deltaJ_J(pd, i, delta)
-        t_ndj.update(riemann.endo_residual_norm(g0, fr, ndj), p)
-        Pm = chern_ricci_P(pd, i)
-        JP = J0 @ Pm - Pm @ J0
-        t_crit.update(riemann.endo_residual_norm(g0, fr, JP - ndj), p)
-        lap = rough_laplacian_J(pd, i)
-        lhs = J0 @ lap - lap @ J0
-        rhs = 2.0 * (ndj - JP)
-        t_p1.update(riemann.endo_residual_norm(g0, fr, lhs - rhs), p)
-        cond = sufficient_condition_tensors(pd, i)
-        t_cond.update(max(cond["factor1"]["condition_max"],
-                        cond["factor2"]["condition_max"]), p)
-
-    crit = max(t_crit.max, t_gate.max)
+    crit = max(trackers["[J,P] - nabla_deltaJ_J"].max,
+               trackers["J^2/Hermitian/frame gate"].max)
     if crit < tol:
         verdict = HARMONIC
     elif crit > FAIL_FACTOR * tol:
         verdict = NOT_HARMONIC
     else:
         verdict = INCONCLUSIVE_H
-    rep = CheckReport.from_trackers(
-        "harmonicity", tol,
-        [t_crit, t_gate, t_delta["reference"], t_delta["koszul"], t_ndj,
-         t_p1, t_cond],
-        verdict=verdict)
+    rep = CheckReport.from_trackers("harmonicity", tol,
+                                    list(trackers.values()), verdict=verdict)
     rep.max_residual = crit  # the verdict-carrying quantity
     matched = sorted(k for k, t in t_delta.items() if t.max < tol)
     rep.details["deltaJ_variants"] = {k: t.max for k, t in t_delta.items()}
@@ -201,19 +224,16 @@ def codifferential_report(ev: Evaluator, P: ProductHermitian, points, tol
                           ) -> CheckReport:
     """deltaJ frame sum vs its closed-form variants, and nabla_{deltaJ} J."""
     pd = ProductData(ev, P, points)
-    t_var = {"reference": ResidualTracker("frame sum vs reference"),
-             "koszul": ResidualTracker("frame sum vs koszul")}
-    t_ndj = ResidualTracker("nabla_deltaJ_J")
-    for i in range(pd.points.shape[0]):
-        p = pd.points[i]
-        g0 = pd.md.g0[i]
-        fr = pd.frame(i)
-        delta, variants = codifferential_J(pd, i)
-        for name, val in variants.items():
-            t_var[name].update(
-                riemann.vector_residual_norm(g0, fr, delta - val), p)
-        ndj = nabla_deltaJ_J(pd, i, delta)
-        t_ndj.update(riemann.endo_residual_norm(g0, fr, ndj), p)
+    g0, fr = pd.md.g0, pd.frames
+    delta, variants = codifferential_J(pd)
+    t_var = {name: ResidualTracker.from_points(
+                 f"frame sum vs {name}",
+                 riemann.vector_residual_norm(g0, fr, delta - val), pd.points)
+             for name, val in variants.items()}
+    t_ndj = ResidualTracker.from_points(
+        "nabla_deltaJ_J",
+        riemann.endo_residual_norm(g0, fr, nabla_deltaJ_J(pd, delta)),
+        pd.points)
     best = min(t_var.values(), key=lambda t: t.max)
     rep = CheckReport.from_trackers("codifferential", tol, [best, t_ndj])
     rep.details["variants"] = {k: t.max for k, t in t_var.items()}
@@ -222,18 +242,17 @@ def codifferential_report(ev: Evaluator, P: ProductHermitian, points, tol
     return rep
 
 
-def dirichlet_energy_density(pd: ProductData, i) -> float:
-    """||nabla J||^2 = sum_i ||nabla_{u_i} J||^2_G over the adapted frame."""
+def dirichlet_energy_density(pd: ProductData):
+    """||nabla J||^2 = sum_i ||nabla_{u_i} J||^2_G over the adapted frames.
+
+    A (p,) array.
+    """
     C0, _ = pd.nabla_J()
-    g0 = pd.md.g0[i]
-    fr = pd.frame(i)
+    g0, frames = pd.md.g0, pd.frames
     total = 0.0
-    # term by term in frame order, as in _frame_sum_delta
-    for u in fr:
-        nJ = np.einsum("ijm,m->ij", C0[i], u)
-        for v in fr:
-            w = nJ @ v
-            total += float(w @ g0 @ w)
+    for a in range(frames.shape[1]):
+        W = _along(C0, frames[:, a]) @ frames.swapaxes(1, 2)  # columns nJ v
+        total = total + ((g0 @ W) * W).sum(axis=(1, 2))
     return total
 
 
@@ -241,18 +260,13 @@ def energy_report(ev: Evaluator, P: ProductHermitian, points, tol
                   ) -> CheckReport:
     """Pointwise energy density plus a box-quadrature energy estimate."""
     pd = ProductData(ev, P, points)
-    dens = np.zeros(pd.points.shape[0])
-    dets = np.zeros(pd.points.shape[0])
-    for i in range(pd.points.shape[0]):
-        dens[i] = dirichlet_energy_density(pd, i)
-        dets[i] = float(np.sqrt(np.linalg.det(pd.md.g0[i])))
+    dens = dirichlet_energy_density(pd)
+    dets = np.sqrt(np.linalg.det(pd.md.g0))
     vol = 1.0
     for lo, hi in P.chart.box:
         vol *= (hi - lo)
     estimate = float(np.mean(dens * dets) * vol)
-    t = ResidualTracker("energy density")
-    for i in range(pd.points.shape[0]):
-        t.update(dens[i], pd.points[i])
+    t = ResidualTracker.from_points("energy density", dens, pd.points)
     rep = CheckReport.from_trackers("energy", tol, [t], verdict="pass")
     rep.details["density_max"] = float(np.max(dens))
     rep.details["density_min"] = float(np.min(dens))
@@ -367,27 +381,28 @@ def ddc_scalar(ev: Evaluator, P: ProductHermitian, f: expr.Expression, p):
 # Frame-mixing invariance and the Table-1 suite
 # ---------------------------------------------------------------------------
 
-def mixed_frame(pd: ProductData, i, seed):
-    """Adapted frame with a seeded orthogonal mixing inside each D-block."""
-    fr, e_blk, f_blk = pd.frame_slices(i)
+def mixed_frame(pd: ProductData, seed):
+    """Adapted frames with a seeded orthogonal mixing inside each D-block.
+
+    The same mixing at every point; a (p, d, d) array like pd.frames.
+    """
+    e_blk, f_blk = pd.frame_blocks
     rng = np.random.default_rng(seed)
 
     def mix(block):
-        n = len(block)
+        n = block.shape[1]
         if n == 0:
             return block
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         return q.T @ block
 
-    return np.vstack([fr[:2], mix(e_blk), mix(f_blk)])
+    return np.concatenate([pd.frames[:, :2], mix(e_blk), mix(f_blk)], axis=1)
 
 
-def delta_and_P_with_frame(pd: ProductData, i, frame):
+def delta_and_P_with_frame(pd: ProductData, frames):
+    """deltaJ and P at every point, taken over the given (p, d, d) frames."""
     C0, _ = pd.nabla_J()
-    delta = _frame_sum_delta(C0[i], frame)
-    Pm = 0.5 * np.einsum("lkij,ai,aj->lk", pd.md.riemann()[i], frame,
-                         frame @ pd.Jv[i].T)
-    return delta, Pm
+    return _frame_sum_delta(C0, frames), _P_with_frame(pd, frames)
 
 
 TABLE1_ROWS = (

@@ -269,18 +269,24 @@ class ProductData:
         self.b1 = self._scalar(P.e1.beta)
         self.a2 = self._scalar(P.e2.alpha)
         self.b2 = self._scalar(P.e2.beta)
-        # factor-chart metric data at the sliced points
-        self.md1 = riemann.MetricData(ev, P.f1.structure.g,
-                                      P.factor_point(1, pts))
-        self.md2 = riemann.MetricData(ev, P.f2.structure.g,
-                                      P.factor_point(2, pts))
-        self._frames = {}
         self._jets = {}
         self._CJ = None
 
     def _scalar(self, e):
         v = np.asarray(self.ev.value(e, self.points), dtype=float)
         return np.broadcast_to(v, (self.points.shape[0],))
+
+    # factor-chart metric data at the sliced points; only the connection and
+    # curvature reports read them
+    @cached_property
+    def md1(self):
+        return riemann.MetricData(self.ev, self.P.f1.structure.g,
+                                  self.P.factor_point(1, self.points))
+
+    @cached_property
+    def md2(self):
+        return riemann.MetricData(self.ev, self.P.f2.structure.g,
+                                  self.P.factor_point(2, self.points))
 
     @cached_property
     def span(self):
@@ -307,30 +313,28 @@ class ProductData:
             self._CJ = riemann.nabla_endo_all(self.md, self.Jv, self.Jg, self.Jh)
         return self._CJ
 
-    def frame(self, i):
-        """Adapted G-orthonormal frame {xi1, J xi1, e_j, f_k} at point i.
+    @cached_property
+    def frames(self):
+        """Adapted G-orthonormal frames {xi1, J xi1, e_j, f_k}, one per point.
 
-        An (n, d) array of row vectors.
+        A (p, d, d) array; frames[i] holds the frame vectors at point i as
+        rows.
         """
-        if i not in self._frames:
-            g0 = self.md.g0[i]
-            xi1 = self.xi1v[i]
-            blocks = [xi1, self.Jv[i] @ xi1]
-            for (emb, phiv) in ((self.P.e1, self.phi1v), (self.P.e2, self.phi2v)):
-                blocks.extend(riemann.orthonormal_frame_within(
-                    g0, phiv[i][:, emb.block].T))
-            self._frames[i] = np.array(blocks)
-        return self._frames[i]
+        xi1 = self.xi1v
+        blocks = [xi1[:, None, :], (self.Jv @ xi1[:, :, None]).swapaxes(1, 2)]
+        for (emb, phiv) in ((self.P.e1, self.phi1v), (self.P.e2, self.phi2v)):
+            blocks.append(riemann.orthonormal_frame_within(
+                self.md.g0, phiv[:, :, emb.block].swapaxes(1, 2)))
+        return np.concatenate(blocks, axis=1)
 
-    def frame_slices(self, i):
-        fr = self.frame(i)
+    @property
+    def frame_blocks(self):
+        """The D-block parts (e_j, f_k) of the frames, (p, 2 n_i, d) each."""
         n1 = 2 * self.P.n1
-        e = fr[2:2 + n1]
-        f = fr[2 + n1:]
-        return fr, e, f
+        return self.frames[:, 2:2 + n1], self.frames[:, 2 + n1:]
 
     def residual_norm(self, i, vec):
-        return riemann.vector_residual_norm(self.md.g0[i], self.frame(i), vec)
+        return riemann.vector_residual_norm(self.md.g0[i], self.frames[i], vec)
 
 
 def _value(pd: ProductData, S: SpanField, i):
@@ -657,7 +661,7 @@ def nabla_J_report(ev: Evaluator, P: ProductHermitian, points, tol
         for u, v in _BLOCKS}
     zero = {"nabla_xiJ_zero": (
         [(span[1][0],), (span[2][0],)],
-        lambda i, S: riemann.endo_residual_norm(pd.md.g0[i], pd.frame(i),
+        lambda i, S: riemann.endo_residual_norm(pd.md.g0[i], pd.frames[i],
                                                 nabla_XJ(i, S)))}
     return _adjudicate(pd, "nabla_J_closed_forms", tol, families, zero)
 

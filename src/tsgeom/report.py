@@ -32,8 +32,19 @@ def verdict_for(residual: float, tol: float) -> str:
     return INCONCLUSIVE
 
 
+# The worst point moves only when a sample beats the value at the current
+# worst point by more than this, relative to max(1, |that value|).
+WORST_POINT_RTOL = 1e-12
+
+
 class ResidualTracker:
-    """Order-independent max/mean/worst-point accumulator."""
+    """Max/mean/worst-point accumulator.
+
+    max is the true maximum. The worst point is the first point whose value
+    is within WORST_POINT_RTOL of it: a later sample takes over only when it
+    is clearly larger, so a family that is constant up to roundoff keeps its
+    first point instead of one picked by summation order.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -41,6 +52,7 @@ class ResidualTracker:
         self.total = 0.0
         self.max = 0.0
         self.worst_point = None
+        self._at_worst = 0.0  # the value at worst_point
 
     def update(self, value: float, point=None):
         v = float(abs(value))
@@ -51,8 +63,19 @@ class ResidualTracker:
         self.total += v
         if first or v > self.max:
             self.max = v
+        w = self._at_worst
+        if first or v > w + WORST_POINT_RTOL * max(1.0, w):
+            self._at_worst = v
             if point is not None:
                 self.worst_point = tuple(float(x) for x in np.atleast_1d(point))
+
+    @classmethod
+    def from_points(cls, name, values, points):
+        """A tracker fed one sample per point, in point order."""
+        t = cls(name)
+        for v, p in zip(values, points):
+            t.update(v, p)
+        return t
 
     def update_many(self, values, point=None):
         arr = np.atleast_1d(np.asarray(values, dtype=float)).ravel()

@@ -15,6 +15,8 @@ Index conventions, batched over a leading points axis where present:
 Frames are (n, d) arrays whose rows are the frame vectors, so iterating,
 len and slicing walk the vectors, and a residual norm is one product with
 the frame: max|F g v| for a vector, max|F g M F^T| for an endomorphism.
+Over the points they stack to (p, n, d), and the residual norms then give
+one maximum per point.
 """
 
 from __future__ import annotations
@@ -171,21 +173,20 @@ def covariant_derivative_endo(ev: Evaluator, g: MetricField,
     return np.einsum("pijm,pm->pij", C0, xv)[0]
 
 
-def second_cov_endo_const(md: MetricData, i, C0, C1, U, V):
-    """(nabla^2_{U,V} A) at point index i for pointwise vectors U, V.
+def second_cov_endo_const(md: MetricData, C0, C1, U, V):
+    """(nabla^2_{U,V} A) at every point, for vector stacks U, V of shape (p, d).
 
-    Uses the constant extension of V; the combination
+    C0, C1 are the batched covariant derivative of A and its gradient (see
+    nabla_endo_all). Uses the constant extension of V; the combination
     nabla_U (nabla_V A) - nabla_{nabla_U V} A is tensorial in both slots,
     so the extension does not matter.
     """
-    G0 = md.gamma0[i]
-    B0 = np.einsum("ijm,m->ij", C0, V)
-    B1 = np.einsum("ijmn,m->ijn", C1, V)
-    nUB = (np.einsum("ijn,n->ij", B1, U)
-           + np.einsum("n,ink,kj->ij", U, G0, B0)
-           - np.einsum("ik,n,knj->ij", B0, U, G0))
-    W = np.einsum("knj,n,j->k", G0, U, V)  # nabla_U V for constant V
-    return nUB - np.einsum("ijm,m->ij", C0, W)
+    B0 = np.einsum("pijm,pm->pij", C0, V)
+    B1 = np.einsum("pijmn,pm->pijn", C1, V)
+    GU = np.einsum("pink,pn->pik", md.gamma0, U)  # Gamma^i_nk U^n
+    nUB = np.einsum("pijn,pn->pij", B1, U) + GU @ B0 - B0 @ GU
+    W = np.einsum("pkj,pj->pk", GU, V)  # nabla_U V for constant V
+    return nUB - np.einsum("pijm,pm->pij", C0, W)
 
 
 def curvature(ev: Evaluator, g: MetricField, X: VectorField, Y: VectorField,
@@ -283,32 +284,57 @@ def orthonormal_frame(g0: np.ndarray, preferred=(), pivot=1e-10):
 
 
 def orthonormal_frame_within(g0: np.ndarray, candidates, pivot=1e-10):
-    """Gram-Schmidt a candidate list only (no completion to full dimension).
+    """Gram-Schmidt a candidate list at every point (no completion).
 
-    Near-dependent candidates are skipped with the same pivot rule as
-    orthonormal_frame; used to orthonormalize block-spanning sets.
+    g0 is (p, d, d) and candidates (p, k, d); returns the (p, n, d) frames
+    of the n candidates kept. Near-dependent candidates are skipped with the
+    same pivot rule as orthonormal_frame; used to orthonormalize
+    block-spanning sets. A candidate kept at some points and skipped at
+    others raises RiemannError, since the frames would not stack.
     """
+    def gdot(u, w):
+        return (u[:, None, :] @ g0 @ w[:, :, None])[:, 0, 0]
+
     frame = []
-    for v in candidates:
-        w = np.asarray(v, dtype=float).copy()
+    for c in range(candidates.shape[1]):
+        w = np.array(candidates[:, c], dtype=float)
         for u in frame:
-            w -= float(u @ g0 @ w) * u
-        norm = np.sqrt(max(float(w @ g0 @ w), 0.0))
-        if norm < pivot:
+            w -= gdot(u, w)[:, None] * u
+        norm = np.sqrt(np.maximum(gdot(w, w), 0.0))
+        skip = norm < pivot
+        if skip.all():
             continue
-        frame.append(w / norm)
-    return np.array(frame).reshape(len(frame), g0.shape[0])
+        if skip.any():
+            bad = int(np.argmax(skip))
+            raise RiemannError(
+                f"candidate {c} is g-dependent on the previous ones at point "
+                f"index {bad} but not at every point")
+        frame.append(w / norm[:, None])
+    if not frame:
+        return np.zeros(candidates.shape[:1] + (0, g0.shape[-1]))
+    return np.stack(frame, axis=1)
 
 
-def vector_residual_norm(g0: np.ndarray, frame, vec: np.ndarray) -> float:
+def vector_residual_norm(g0: np.ndarray, frame, vec: np.ndarray):
     """Sup-norm of the frame components (g-inner products with the frame).
 
-    vec may also be a stack of column vectors (..., d, N); the sup then runs
-    over all of them.
+    At one point, g0 is (d, d), frame (n, d) and vec a vector (d,) or a
+    stack of column vectors (..., d, N); returns a float. Over points, g0 is
+    (p, d, d), frame (p, n, d) and vec (p, d) or (p, d, N); returns the (p,)
+    per-point maxima.
     """
-    return float(np.max(np.abs(frame @ g0 @ vec)))
+    if g0.ndim == 2:
+        return float(np.max(np.abs(frame @ g0 @ vec)))
+    if vec.ndim == 2:
+        vec = vec[:, :, None]
+    return np.abs(frame @ g0 @ vec).max(axis=(1, 2))
 
 
-def endo_residual_norm(g0: np.ndarray, frame, M: np.ndarray) -> float:
-    """Sup over frame vectors of the residual of M applied to them."""
-    return float(np.max(np.abs(frame @ g0 @ M @ frame.T)))
+def endo_residual_norm(g0: np.ndarray, frame, M: np.ndarray):
+    """Sup over frame vectors of the residual of M applied to them.
+
+    A float at one point; the (p,) per-point maxima for stacks g0, frame
+    and M with a leading points axis.
+    """
+    r = np.abs(frame @ g0 @ M @ np.swapaxes(frame, -1, -2)).max(axis=(-2, -1))
+    return float(r) if r.ndim == 0 else r

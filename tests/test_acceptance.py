@@ -198,13 +198,13 @@ class TestCriterion6_Codifferential:
                                   validate=False)
                 pd = product.ProductData(
                     JET, P, sample_points(P.chart, 25, SEED))
-                for i in range(pd.points.shape[0]):
-                    delta, variants = codifferential_J(pd, i)
-                    best = min(np.max(np.abs(delta - v))
-                               for v in variants.values())
-                    assert best < 1e-6
-                    ndj = harmonic.nabla_deltaJ_J(pd, i, delta)
-                    assert np.max(np.abs(ndj)) < 1e-6
+                delta, variants = codifferential_J(pd)
+                # the best variant at each point
+                best = np.minimum.reduce([np.max(np.abs(delta - v), axis=1)
+                                          for v in variants.values()])
+                assert np.all(best < 1e-6)
+                ndj = harmonic.nabla_deltaJ_J(pd, delta)
+                assert np.max(np.abs(ndj)) < 1e-6
         ok("criterion 6a: frame-sum deltaJ matches a closed-form variant "
            "< 1e-6 and nabla_deltaJ J < 1e-6 everywhere")
 
@@ -212,9 +212,8 @@ class TestCriterion6_Codifferential:
         P = build_product(factors[SAS], factors[FLAT], 1.0, 1.0,
                           validate=False)
         pd = product.ProductData(JET, P, sample_points(P.chart, 10, SEED))
-        for i in range(10):
-            delta, _ = codifferential_J(pd, i)
-            assert delta == pytest.approx(2.0 * pd.xi1v[i], abs=1e-6)
+        delta, _ = codifferential_J(pd)
+        assert delta == pytest.approx(2.0 * pd.xi1v, abs=1e-6)
         ok("criterion 6b: deltaJ = 2 xi1 for Sasakian x cosymplectic (n1=1)")
 
     def test_kenmotsu_pair_divergence_detected(self, factors):
@@ -224,14 +223,14 @@ class TestCriterion6_Codifferential:
         P = build_product(factors[KEN], factors[KEN], 1.0, 1.0,
                           validate=False)
         pd = product.ProductData(JET, P, sample_points(P.chart, 10, SEED))
-        for i in range(10):
-            delta, variants = codifferential_J(pd, i)
-            assert delta == pytest.approx(-2.0 * pd.xi1v[i]
-                                          + 2.0 * pd.xi2v[i], abs=1e-9)
-            assert variants["reference"] == pytest.approx(
-                4.0 * pd.xi2v[i], abs=1e-12)
-            assert np.max(np.abs(variants["reference"] - delta)) > 1.0
-            assert np.max(np.abs(variants["koszul"] - delta)) < 1e-9
+        delta, variants = codifferential_J(pd)
+        assert delta == pytest.approx(-2.0 * pd.xi1v + 2.0 * pd.xi2v,
+                                      abs=1e-9)
+        assert variants["reference"] == pytest.approx(4.0 * pd.xi2v,
+                                                      abs=1e-12)
+        assert np.all(np.max(np.abs(variants["reference"] - delta), axis=1)
+                      > 1.0)
+        assert np.max(np.abs(variants["koszul"] - delta)) < 1e-9
         rep = harmonic.codifferential_report(
             JET, P, sample_points(P.chart, 10, SEED), 1e-6)
         assert rep.details["matched"] == ["koszul"]
@@ -248,8 +247,8 @@ class TestCriterion6_Codifferential:
         P = build_product(factors[KEN], factors[KEN], 1.0, 1.0,
                           validate=False)
         pd = product.ProductData(JET, P, sample_points(P.chart, 5, SEED))
-        delta, _ = codifferential_J(pd, 0)
-        assert delta == pytest.approx(4.0 * pd.xi2v[0], abs=1e-6)
+        delta, _ = codifferential_J(pd)
+        assert delta[0] == pytest.approx(4.0 * pd.xi2v[0], abs=1e-6)
 
 
 class TestCriterion7_Table1:

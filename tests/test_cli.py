@@ -84,13 +84,34 @@ class TestManifest:
         ({"product": {"a": "nan", "b": 1}}, "$.product.a"),
         ({"product": {"a": 1, "b": "-inf"}}, "$.product.b"),
         ({"sampling": {"seed": -1}}, "$.sampling.seed"),
+        ({"factors": [{"builtin": "cosymplectic_flat",
+                       "tamper": {"phi_scale": "abc"}},
+                      {"builtin": "cosymplectic_flat"}]},
+         "$.factors[0].tamper.phi_scale"),
+        ({"factors": [{"builtin": "cosymplectic_flat"},
+                      {"builtin": "cosymplectic_flat",
+                       "tamper": {"phi_scale": "nan"}}]},
+         "$.factors[1].tamper.phi_scale"),
     ], ids=["count_not_int", "box_lo_above_hi", "box_scalar",
             "box_unknown_key", "tol_negative", "tol_infinite",
-            "fd_step_zero", "a_nan", "b_infinite", "seed_negative"])
+            "fd_step_zero", "a_nan", "b_infinite", "seed_negative",
+            "phi_scale_not_number", "phi_scale_nan"])
     def test_bad_value_exit_2_with_path(self, tmp_path, capsys, edit, path):
         m = write_manifest(tmp_path, dict(MINIMAL, **edit))
         assert main(["verify", m]) == EXIT_CONFIG
         assert f"configuration error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_broken_j_must_be_a_json_boolean(self, tmp_path, capsys, value):
+        data = dict(MINIMAL, product={"tamper": {"broken_j": value}})
+        assert main(["verify", write_manifest(tmp_path, data)]) == EXIT_CONFIG
+        assert ("configuration error: $.product.tamper.broken_j:"
+                in capsys.readouterr().err)
+
+    def test_broken_j_boolean_accepted(self):
+        for value in (False, True):
+            data = dict(MINIMAL, product={"tamper": {"broken_j": value}})
+            assert resolve_manifest(data)["broken_j"] is value
 
     @pytest.mark.parametrize("flags, path", [
         (["--samples", "0"], "--samples"),

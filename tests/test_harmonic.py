@@ -12,6 +12,7 @@ from tsgeom.harmonic import (
     commutator_condition_bracket, table1_suite, sufficient_condition_tensors,
 )
 from tsgeom.product import ProductData, build_product
+from tsgeom.report import verdict_for
 
 FLAT, SAS, KEN = "cosymplectic_flat", "sasakian_heisenberg", "kenmotsu_warped"
 
@@ -28,49 +29,46 @@ def pdata(P, n=10, seed=7):
 class TestCodifferential:
     def test_flat_flat_zero(self):
         pd = pdata(make(FLAT, FLAT, 1.0, 1.0), 5)
-        for i in range(5):
-            delta, variants = codifferential_J(pd, i)
-            assert np.max(np.abs(delta)) < 1e-12
-            for v in variants.values():
-                assert np.max(np.abs(v)) < 1e-12
+        delta, variants = codifferential_J(pd)
+        assert delta.shape == (5, pd.P.dim)
+        assert np.max(np.abs(delta)) < 1e-12
+        for v in variants.values():
+            assert np.max(np.abs(v)) < 1e-12
 
     def test_sasakian_flat_equals_2_xi1(self):
         # n1 = 1, alpha1 = 1, all betas zero: deltaJ = 2 xi1 for any (a, b)
         for ab in [(0.0, 1.0), (1.0, 1.0), (0.5, -1.0)]:
             pd = pdata(make(SAS, FLAT, *ab), 5)
-            for i in range(5):
-                delta, variants = codifferential_J(pd, i)
-                assert delta == pytest.approx(2.0 * pd.xi1v[i], abs=1e-9)
-                assert variants["reference"] == pytest.approx(delta, abs=1e-9)
-                assert variants["koszul"] == pytest.approx(delta, abs=1e-9)
+            delta, variants = codifferential_J(pd)
+            assert delta == pytest.approx(2.0 * pd.xi1v, abs=1e-9)
+            assert variants["reference"] == pytest.approx(delta, abs=1e-9)
+            assert variants["koszul"] == pytest.approx(delta, abs=1e-9)
 
     def test_kenmotsu_kenmotsu_frame_sum(self):
         # a = b = 1: the frame sum gives -2 xi1 + 2 xi2; the transcribed
         # closed form (4 xi2) diverges from it by design of the beta slip
         pd = pdata(make(KEN, KEN, 1.0, 1.0), 6)
-        for i in range(6):
-            delta, variants = codifferential_J(pd, i)
-            want = -2.0 * pd.xi1v[i] + 2.0 * pd.xi2v[i]
-            assert delta == pytest.approx(want, abs=1e-9)
-            assert variants["koszul"] == pytest.approx(want, abs=1e-12)
-            ref = variants["reference"]
-            assert ref == pytest.approx(4.0 * pd.xi2v[i], abs=1e-12)
-            assert np.max(np.abs(ref - delta)) > 1.0
+        delta, variants = codifferential_J(pd)
+        want = -2.0 * pd.xi1v + 2.0 * pd.xi2v
+        assert delta == pytest.approx(want, abs=1e-9)
+        assert variants["koszul"] == pytest.approx(want, abs=1e-12)
+        ref = variants["reference"]
+        assert ref == pytest.approx(4.0 * pd.xi2v, abs=1e-12)
+        assert np.all(np.max(np.abs(ref - delta), axis=1) > 1.0)
 
     def test_nabla_deltaJ_J_vanishes(self):
         for pair, ab in [((SAS, FLAT), (1.0, 1.0)), ((KEN, KEN), (1.0, 1.0)),
                          ((SAS, KEN), (-2.0, 3.0))]:
             pd = pdata(make(pair[0], pair[1], *ab), 5)
-            for i in range(5):
-                ndj = nabla_deltaJ_J(pd, i)
-                assert np.max(np.abs(ndj)) < 1e-8
+            ndj = nabla_deltaJ_J(pd)
+            assert ndj.shape == (5, pd.P.dim, pd.P.dim)
+            assert np.max(np.abs(ndj)) < 1e-8
 
 
 class TestChernRicciP:
     def test_flat_flat_zero(self):
         pd = pdata(make(FLAT, FLAT, 0.0, 1.0), 4)
-        for i in range(4):
-            assert np.max(np.abs(chern_ricci_P(pd, i))) < 1e-12
+        assert np.max(np.abs(chern_ricci_P(pd))) < 1e-12
 
     def test_reeb_pair_contribution_vanishes(self):
         # R(xi1, J xi1) = 0 because J xi1 lies in span{xi1, xi2}
@@ -84,17 +82,15 @@ class TestChernRicciP:
 
     def test_heisenberg_heisenberg_commutes_with_J(self):
         pd = pdata(make(SAS, SAS, 0.0, 1.0), 5)
-        for i in range(5):
-            Pm = chern_ricci_P(pd, i)
-            J0 = pd.Jv[i]
-            assert np.max(np.abs(J0 @ Pm - Pm @ J0)) < 1e-8
+        Pm = chern_ricci_P(pd)
+        J0 = pd.Jv
+        assert np.max(np.abs(J0 @ Pm - Pm @ J0)) < 1e-8
 
 
 class TestRoughLaplacian:
     def test_flat_flat_zero(self):
         pd = pdata(make(FLAT, FLAT, 1.0, 1.0), 4)
-        for i in range(4):
-            assert np.max(np.abs(rough_laplacian_J(pd, i))) < 1e-12
+        assert np.max(np.abs(rough_laplacian_J(pd))) < 1e-12
 
     @pytest.mark.parametrize("pair,ab", [((SAS, KEN), (1.0, 1.0)),
                                          ((KEN, KEN), (0.5, -1.0)),
@@ -102,26 +98,25 @@ class TestRoughLaplacian:
     def test_laplacian_identity(self, pair, ab):
         # [J, lap J] = 2 (nabla_deltaJ J - [J, P]) for integrable J
         pd = pdata(make(pair[0], pair[1], *ab), 5)
-        for i in range(5):
-            J0 = pd.Jv[i]
-            lap = rough_laplacian_J(pd, i)
-            ndj = nabla_deltaJ_J(pd, i)
-            Pm = chern_ricci_P(pd, i)
-            lhs = J0 @ lap - lap @ J0
-            rhs = 2.0 * (ndj - (J0 @ Pm - Pm @ J0))
-            assert np.max(np.abs(lhs - rhs)) < 1e-7
+        J0 = pd.Jv
+        lap = rough_laplacian_J(pd)
+        ndj = nabla_deltaJ_J(pd)
+        Pm = chern_ricci_P(pd)
+        lhs = J0 @ lap - lap @ J0
+        rhs = 2.0 * (ndj - (J0 @ Pm - Pm @ J0))
+        assert np.max(np.abs(lhs - rhs)) < 1e-7
 
 
 class TestSufficientCondition:
     def test_zero_for_product_classes(self):
         for pair in [(SAS, KEN), (KEN, FLAT), (SAS, SAS)]:
             pd = pdata(make(pair[0], pair[1], 1.0, 1.0), 4)
-            for i in range(4):
-                cond = sufficient_condition_tensors(pd, i)
-                assert cond["factor1"]["condition_max"] < 1e-12
-                assert cond["factor2"]["condition_max"] < 1e-12
-                assert cond["factor1"]["commutator_max"] < 1e-8
-                assert cond["factor2"]["commutator_max"] < 1e-8
+            cond = sufficient_condition_tensors(pd)
+            assert cond["factor1"]["condition_max"].shape == (4,)
+            assert np.all(cond["factor1"]["condition_max"] < 1e-12)
+            assert np.all(cond["factor2"]["condition_max"] < 1e-12)
+            assert np.all(cond["factor1"]["commutator_max"] < 1e-8)
+            assert np.all(cond["factor2"]["commutator_max"] < 1e-8)
 
     def test_bracket_algebra_orthonormal(self):
         # 2[g(e1,U) phi e1 - g(e1, phi U) e1] at U = e1 equals 2 phi e1
@@ -154,11 +149,12 @@ class TestHarmonicityReport:
     def test_frame_mixing_invariance(self):
         P = make(SAS, KEN, 1.0, 1.0)
         pd = pdata(P, 5)
-        for i in range(5):
-            d0, P0 = delta_and_P_with_frame(pd, i, pd.frame(i))
-            d1, P1 = delta_and_P_with_frame(pd, i, mixed_frame(pd, i, seed=13))
-            assert np.max(np.abs(d0 - d1)) < 1e-7
-            assert np.max(np.abs(P0 - P1)) < 1e-7
+        mixed = mixed_frame(pd, seed=13)
+        assert np.max(np.abs(mixed - pd.frames)) > 1e-3  # really mixed
+        d0, P0 = delta_and_P_with_frame(pd, pd.frames)
+        d1, P1 = delta_and_P_with_frame(pd, mixed)
+        assert np.max(np.abs(d0 - d1)) < 1e-7
+        assert np.max(np.abs(P0 - P1)) < 1e-7
 
 
 class TestEnergy:
@@ -170,7 +166,7 @@ class TestEnergy:
     def test_heisenberg_flat_positive_constant_along_reeb(self):
         P = make(SAS, FLAT, 0.0, 1.0)
         pd = pdata(P, 6)
-        base = dirichlet_energy_density(pd, 0)
+        base = dirichlet_energy_density(pd)[0]
         assert base > 1e-3
         # shift along both Reeb coordinates (z1 at index 2, z2 at index 5)
         p = pd.points[0].copy()
@@ -178,7 +174,7 @@ class TestEnergy:
             q = p.copy()
             q[idx] += 0.3
             pd2 = ProductData(JET, P, q)
-            assert dirichlet_energy_density(pd2, 0) == pytest.approx(base, abs=1e-9)
+            assert dirichlet_energy_density(pd2)[0] == pytest.approx(base, abs=1e-9)
 
     def test_box_doubling_quadruples_estimate(self):
         P = make(SAS, FLAT, 0.0, 1.0)
@@ -257,3 +253,167 @@ class TestTable1:
         assert rows[0]["m1"] == "alpha-Sasakian" and rows[0]["a1"] == 1
         assert rows[5]["m1"] == "beta-Kenmotsu" and rows[5]["m2"] == "Cosymplectic"
         assert rows[8]["m1"] == rows[8]["m2"] == "Cosymplectic"
+
+
+# ---------------------------------------------------------------------------
+# Per-point oracle: the harmonicity, codifferential and energy reports as one
+# loop over the points, with a per-point frame, deltaJ, P, rough Laplacian,
+# condition tensors and energy density. It reads only the per-point jets of
+# ProductData, never its batched frames or the batched helpers.
+# ---------------------------------------------------------------------------
+
+def _frame_within_at(g0, candidates, pivot=1e-10):
+    frame = []
+    for v in candidates:
+        w = np.asarray(v, dtype=float).copy()
+        for u in frame:
+            w -= float(u @ g0 @ w) * u
+        norm = np.sqrt(max(float(w @ g0 @ w), 0.0))
+        if norm < pivot:
+            continue
+        frame.append(w / norm)
+    return np.array(frame).reshape(len(frame), g0.shape[0])
+
+
+def _frame_at(pd, i):
+    g0 = pd.md.g0[i]
+    xi1 = pd.xi1v[i]
+    rows = [xi1, pd.Jv[i] @ xi1]
+    for emb, phiv in ((pd.P.e1, pd.phi1v), (pd.P.e2, pd.phi2v)):
+        rows.extend(_frame_within_at(g0, phiv[i][:, emb.block].T))
+    return np.array(rows)
+
+
+def _vec_norm_at(g0, fr, vec):
+    return float(np.max(np.abs(fr @ g0 @ vec)))
+
+
+def _endo_norm_at(g0, fr, M):
+    return float(np.max(np.abs(fr @ g0 @ M @ fr.T)))
+
+
+def _second_cov_at(md, i, C0, C1, U, V):
+    G0 = md.gamma0[i]
+    B0 = np.einsum("ijm,m->ij", C0, V)
+    B1 = np.einsum("ijmn,m->ijn", C1, V)
+    nUB = (np.einsum("ijn,n->ij", B1, U)
+           + np.einsum("n,ink,kj->ij", U, G0, B0)
+           - np.einsum("ik,n,knj->ij", B0, U, G0))
+    W = np.einsum("knj,n,j->k", G0, U, V)
+    return nUB - np.einsum("ijm,m->ij", C0, W)
+
+
+def _oracle_at(pd, i):
+    """The per-point residuals of the three reports at point index i."""
+    C0, C1 = pd.nabla_J()
+    g0, J0, riem = pd.md.g0[i], pd.Jv[i], pd.md.riemann()[i]
+    fr = _frame_at(pd, i)
+    n1 = 2 * pd.P.n1
+    eye = np.eye(pd.P.dim)
+    out = {"gate": max(float(np.max(np.abs(J0 @ J0 + eye))),
+                       float(np.max(np.abs(J0.T @ g0 @ J0 - g0))),
+                       float(np.max(np.abs(fr @ g0 @ fr.T - eye))))}
+    delta = sum(np.einsum("ijm,m->ij", C0[i], u) @ u for u in fr)
+    a, b, n1c, n2c = pd.P.a, pd.P.b, pd.P.n1, pd.P.n2
+    a1, b1 = float(pd.a1[i]), float(pd.b1[i])
+    a2, b2 = float(pd.a2[i]), float(pd.b2[i])
+    xi1, xi2 = pd.xi1v[i], pd.xi2v[i]
+    variants = {
+        "reference": (2 * n1c * (a1 * xi1 - (a / b) * b1 * xi1 + (b1 / b) * xi2)
+                      + 2 * n2c * (a2 * xi2 + b2 * xi1 + (a / b) * b2 * xi2)),
+        "koszul": (2 * n1c * (a1 * xi1 + (b1 / b) * xi2)
+                   + 2 * n2c * (a2 * xi2 - (b2 / b) * xi1))}
+    for name, val in variants.items():
+        out[name] = _vec_norm_at(g0, fr, delta - val)
+    ndj = np.einsum("ijm,m->ij", C0[i], delta)
+    out["ndj"] = _endo_norm_at(g0, fr, ndj)
+    Pm = 0.5 * np.einsum("lkij,ai,aj->lk", riem, fr, fr @ J0.T)
+    JP = J0 @ Pm - Pm @ J0
+    out["crit"] = _endo_norm_at(g0, fr, JP - ndj)
+    lap = np.zeros_like(J0)
+    for u in fr:
+        lap += _second_cov_at(pd.md, i, C0[i], C1[i], u, u)
+    out["p1"] = _endo_norm_at(g0, fr, (J0 @ lap - lap @ J0) - 2.0 * (ndj - JP))
+    cond = 0.0
+    for blk, phiv, av, bv in ((fr[2:2 + n1], pd.phi1v[i], a1, b1),
+                              (fr[2 + n1:], pd.phi2v[i], a2, b2)):
+        for U in blk:
+            br = commutator_condition_bracket(g0, phiv, blk, U)
+            cond = max(cond, float(np.max(np.abs(av * bv * br))))
+    out["cond"] = cond
+    dens = 0.0
+    for u in fr:
+        nJ = np.einsum("ijm,m->ij", C0[i], u)
+        for v in fr:
+            w = nJ @ v
+            dens += float(w @ g0 @ w)
+    out["density"] = dens
+    out["sqrt_det"] = float(np.sqrt(np.linalg.det(g0)))
+    return out
+
+
+def _oracle(pd):
+    """{quantity: (p,) array} from the per-point loop."""
+    rows = [_oracle_at(pd, i) for i in range(pd.points.shape[0])]
+    return {k: np.array([r[k] for r in rows]) for k in rows[0]}
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestBatchedAgainstPointwiseOracle:
+    """The batched reports against the per-point oracle, Table 1 products."""
+
+    TOL = 1e-6
+    CASES = [(k1, k2, ab) for k1, k2 in harmonic.TABLE1_ROWS
+             for ab in product.DEFAULT_AB_GRID]
+
+    @pytest.mark.parametrize("k1,k2,ab", CASES)
+    def test_reports_match_oracle(self, k1, k2, ab):
+        P = build_product(contact.factor_for_class(k1),
+                          contact.factor_for_class(k2), *ab, validate=False)
+        pts = sample_points(P.chart, 24, 7)
+        o = _oracle(ProductData(JET, P, pts))
+        tol = self.TOL
+        fams = {"[J,P] - nabla_deltaJ_J": o["crit"],
+                "J^2/Hermitian/frame gate": o["gate"],
+                "deltaJ frame sum vs reference": o["reference"],
+                "deltaJ frame sum vs koszul": o["koszul"],
+                "nabla_deltaJ_J": o["ndj"],
+                "[J,lap J] - 2(nabla_deltaJ J - [J,P])": o["p1"],
+                "sufficient-condition tensors": o["cond"]}
+        rep = harmonicity_report(JET, P, pts, tol)
+        crit = max(fams["[J,P] - nabla_deltaJ_J"].max(),
+                   fams["J^2/Hermitian/frame gate"].max())
+        want = ("harmonic" if crit < tol else
+                "not-harmonic" if crit > 100 * tol else "inconclusive")
+        assert rep.verdict == want
+        assert _close(rep.max_residual, crit)
+        assert set(rep.details["families"]) == set(fams)
+        for name, vals in fams.items():
+            assert _close(rep.details["families"][name]["max_residual"],
+                          vals.max()), name
+        assert rep.details["deltaJ_matched"] == sorted(
+            k for k in ("reference", "koszul") if o[k].max() < tol)
+
+        rep = harmonic.codifferential_report(JET, P, pts, tol)
+        assert rep.details["matched"] == sorted(
+            k for k in ("reference", "koszul") if o[k].max() < tol)
+        for k in ("reference", "koszul"):
+            assert _close(rep.details["variants"][k], o[k].max()), k
+        assert _close(rep.details["families"]["nabla_deltaJ_J"]
+                      ["max_residual"], o["ndj"].max())
+        worst = max(min(o["reference"].max(), o["koszul"].max()),
+                    o["ndj"].max())
+        assert rep.verdict == verdict_for(worst, tol)
+        assert _close(rep.max_residual, worst)
+
+        rep = energy_report(JET, P, pts, tol)
+        assert rep.verdict == "pass"
+        for key, want in (("density_max", o["density"].max()),
+                          ("density_min", o["density"].min())):
+            assert _close(rep.details[key], want), key
+        vol = np.prod([hi - lo for lo, hi in P.chart.box])
+        assert _close(rep.details["box_quadrature_estimate"],
+                      float(np.mean(o["density"] * o["sqrt_det"]) * vol))

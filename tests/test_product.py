@@ -112,13 +112,13 @@ class TestInvariants:
     def test_adapted_frame_gram(self):
         P = make(SAS, KEN, a=1.0, b=1.0)
         pd = product.ProductData(JET, P, pts(P, 5))
+        assert pd.frames.shape == (5, P.dim, P.dim)
         for i in range(5):
-            fr = pd.frame(i)
-            assert len(fr) == P.dim
+            fr = pd.frames[i]
             gram = np.array([[u @ pd.md.g0[i] @ v for v in fr] for u in fr])
             assert gram == pytest.approx(np.eye(P.dim), abs=1e-10)
             # eta1(e_j) = eta2(f_k) = 0
-            _, e, f = pd.frame_slices(i)
+            e, f = (blk[i] for blk in pd.frame_blocks)
             for u in e:
                 assert abs(pd.eta1v[i] @ u) < 1e-10
             for u in f:
@@ -207,8 +207,7 @@ class TestNablaJ:
         pd = product.ProductData(JET, P, pts(P, 4))
         C0, _ = pd.nabla_J()
         for i in range(4):
-            _, e, _ = pd.frame_slices(i)
-            e1 = e[0]
+            e1 = pd.frame_blocks[0][i, 0]
             nJ = np.einsum("ijm,m->ij", C0[i], e1)
             got = nJ @ e1
             assert got == pytest.approx(pd.xi1v[i], abs=1e-9)

@@ -16,3 +16,31 @@ def test_family_without_samples_is_inconclusive():
     t = ResidualTracker("family")
     rep = CheckReport.from_trackers("check", 1e-6, [t])
     assert rep.verdict == "inconclusive"
+
+
+def _feed(values):
+    return ResidualTracker.from_points(
+        "family", values, [[float(i)] for i in range(len(values))])
+
+
+def test_constant_family_keeps_its_first_worst_point():
+    # the same value up to roundoff at every point, largest at point 3
+    base = 16.0
+    t = _feed([base, base + 3e-15, base - 2e-15, base + 7e-15, base])
+    assert t.max == base + 7e-15  # max is still the true maximum
+    assert t.worst_point == (0.0,)
+
+
+def test_noise_level_family_keeps_its_first_worst_point():
+    t = _feed([1e-16, 4e-16, 9e-16, 2e-15, 3e-16])
+    assert t.max == 2e-15
+    assert t.worst_point == (0.0,)
+
+
+def test_clear_gain_moves_the_worst_point():
+    t = _feed([1.0, 1.0 + 5e-13, 1.0 + 2e-12, 1.0 + 2.5e-12, 0.5])
+    assert t.worst_point == (2.0,)  # beats 1.0 by more than 1e-12
+    assert t.max == 1.0 + 2.5e-12   # within 1e-12 of point 2: no move
+    big = _feed([1e6, 1e6 + 1e-7, 1e6 + 2e-6])
+    assert big.worst_point == (2.0,)  # the threshold is relative above 1
+    assert _feed([1e6, 1e6 + 1e-7]).worst_point == (0.0,)

@@ -216,6 +216,66 @@ class TestFrames:
         assert riemann.endo_residual_norm(g0, frame, A) == pytest.approx(
             max(loop_norm(A @ u) for u in frame), rel=1e-12)
 
+    @staticmethod
+    def _spd_stack(rng, p, d):
+        M = rng.normal(size=(p, d, d))
+        return M @ M.swapaxes(1, 2) + d * np.eye(d)
+
+    @staticmethod
+    def _within_at(g0, candidates, pivot=1e-10):
+        """Per-point Gram-Schmidt of a candidate list, the batched reference."""
+        frame = []
+        for v in candidates:
+            w = np.asarray(v, dtype=float).copy()
+            for u in frame:
+                w -= float(u @ g0 @ w) * u
+            norm = np.sqrt(max(float(w @ g0 @ w), 0.0))
+            if norm < pivot:
+                continue
+            frame.append(w / norm)
+        return np.array(frame).reshape(len(frame), g0.shape[0])
+
+    def test_frame_within_over_points_equals_per_point_rows(self):
+        rng = np.random.default_rng(11)
+        p, d = 7, 5
+        g0 = self._spd_stack(rng, p, d)
+        cands = rng.normal(size=(p, 4, d))
+        cands[:, 2] = 2.0 * cands[:, 0] - cands[:, 1]  # skipped everywhere
+        got = riemann.orthonormal_frame_within(g0, cands)
+        assert got.shape == (p, 3, d)
+        for i in range(p):
+            want = self._within_at(g0[i], cands[i])
+            assert got[i] == pytest.approx(want, rel=1e-13, abs=1e-14)
+
+    def test_frame_within_rank_change_across_points_raises(self):
+        rng = np.random.default_rng(12)
+        g0 = self._spd_stack(rng, 4, 3)
+        cands = rng.normal(size=(4, 2, 3))
+        cands[2, 1] = -3.0 * cands[2, 0]  # dependent at one point only
+        with pytest.raises(riemann.RiemannError, match="point index 2"):
+            riemann.orthonormal_frame_within(g0, cands)
+
+    def test_residual_norms_over_points_equal_single_calls(self):
+        rng = np.random.default_rng(13)
+        p, d = 6, 4
+        g0 = self._spd_stack(rng, p, d)
+        frames = np.stack([orthonormal_frame(g) for g in g0])
+        vec = rng.normal(size=(p, d))
+        cols = rng.normal(size=(p, d, 3))
+        A = rng.normal(size=(p, d, d))
+        for batched, single in (
+                (riemann.vector_residual_norm(g0, frames, vec),
+                 [riemann.vector_residual_norm(g0[i], frames[i], vec[i])
+                  for i in range(p)]),
+                (riemann.vector_residual_norm(g0, frames, cols),
+                 [riemann.vector_residual_norm(g0[i], frames[i], cols[i])
+                  for i in range(p)]),
+                (riemann.endo_residual_norm(g0, frames, A),
+                 [riemann.endo_residual_norm(g0[i], frames[i], A[i])
+                  for i in range(p)])):
+            assert batched.shape == (p,)
+            assert batched == pytest.approx(single, rel=1e-13)
+
     def test_dependent_preferred_raises(self):
         with pytest.raises(DependentPreferredVectors):
             orthonormal_frame(np.eye(3), preferred=[np.array([1.0, 0, 0]),
