@@ -16,7 +16,9 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, contact, expr, geom
+import numpy as np
+
+from . import __version__, contact, expr, geom, harmonic, product, riemann
 from .contact import (
     AlmostContactMetricStructure, TransSasakianFactor, builtin_factor,
     factor_class_report, tamper_phi_scale,
@@ -314,9 +316,26 @@ def _manifest_echo(mf):
     }
 
 
+# A check that raises one of the engine's domain errors fails with the error
+# recorded; any other exception is a programming error and propagates.
+DOMAIN_ERRORS = (expr.ExprError, geom.GeomError, riemann.RiemannError,
+                 contact.ContactError, product.ProductError,
+                 harmonic.HarmonicError, np.linalg.LinAlgError)
+
+
+def _error_origin(exc):
+    """module.function of the innermost tsgeom frame that exc passed."""
+    import traceback  # only on the error path: it costs memory at import
+
+    frame = [f for f, _ in traceback.walk_tb(exc.__traceback__)
+             if f.f_globals.get("__name__", "").startswith("tsgeom.")][-1]
+    return f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+
+
 def _error_check(name, tol, exc):
     return CheckReport(name, tol, float("inf"), float("inf"), None, "fail",
-                       details={"error": f"{type(exc).__name__}: {exc}"})
+                       details={"error": f"{type(exc).__name__}: {exc}",
+                                "error_origin": _error_origin(exc)})
 
 
 def run(mf) -> dict:
@@ -351,7 +370,7 @@ def run(mf) -> dict:
         t0 = time.perf_counter()
         try:
             rep = fn()
-        except Exception as exc:  # captured as a check-level failure
+        except DOMAIN_ERRORS as exc:  # captured as a check-level failure
             rep = _error_check(name, tol, exc)
         timings[name] = time.perf_counter() - t0
         rep.name = name
@@ -434,9 +453,9 @@ def classify(mf) -> dict:
         pts = sample_points(F.chart, mf["count"], mf["seed"])
         try:
             info = factor_class_report(ev, F, pts, mf["tol"])
-        except Exception as exc:
+        except DOMAIN_ERRORS as exc:
             info = {"name": F.structure.name, "error": str(exc),
-                    "class": "unverified"}
+                    "error_origin": _error_origin(exc), "class": "unverified"}
         info["tag"] = tag
         ok = ok and info.get("class") not in (None, "unverified")
         out.append(info)

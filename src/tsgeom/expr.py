@@ -140,14 +140,6 @@ def mul(a, b):
     return Binary("*", a, b)
 
 
-def div(a, b):
-    if is_const(a, 0.0) and not is_const(b, 0.0):
-        return ZERO
-    if is_const(b, 1.0):
-        return a
-    return Binary("/", a, b)
-
-
 def neg(a):
     if is_const(a):
         return Const(-a.value)

@@ -247,12 +247,6 @@ class KFormValue:
     degree: int
     comps: np.ndarray  # length C(dim, degree)
 
-    def index_of(self, idx):
-        return form_indices(self.dim, self.degree).index(tuple(idx))
-
-    def sup_norm(self):
-        return float(np.max(np.abs(self.comps))) if self.comps.size else 0.0
-
 
 @dataclass(frozen=True)
 class KFormField:

@@ -276,17 +276,13 @@ class ProductData:
         v = np.asarray(self.ev.value(e, self.points), dtype=float)
         return np.broadcast_to(v, (self.points.shape[0],))
 
-    # factor-chart metric data at the sliced points; only the connection and
-    # curvature reports read them
     @cached_property
-    def md1(self):
-        return riemann.MetricData(self.ev, self.P.f1.structure.g,
-                                  self.P.factor_point(1, self.points))
-
-    @cached_property
-    def md2(self):
-        return riemann.MetricData(self.ev, self.P.f2.structure.g,
-                                  self.P.factor_point(2, self.points))
+    def factor_md(self):
+        """{factor: factor-chart MetricData at the sliced points}; only the
+        connection and curvature reports read them."""
+        return {w: riemann.MetricData(self.ev, F.structure.g,
+                                      self.P.factor_point(w, self.points))
+                for w, F in ((1, self.P.f1), (2, self.P.f2))}
 
     @cached_property
     def span(self):
@@ -333,71 +329,74 @@ class ProductData:
         n1 = 2 * self.P.n1
         return self.frames[:, 2:2 + n1], self.frames[:, 2 + n1:]
 
-    def residual_norm(self, i, vec):
-        return riemann.vector_residual_norm(self.md.g0[i], self.frames[i], vec)
+    @cached_property
+    def factor_columns(self):
+        """(phi, xi, eta, g, alpha, beta) of each factor, shaped for column
+        algebra over the points: phi and g (p, d, d), xi (p, d, 1) columns,
+        eta (p, 1, d) rows, alpha and beta (p, 1, 1)."""
+        return tuple(
+            (phi, xi[:, :, None], eta[:, None, :], g, a[:, None, None],
+             b[:, None, None])
+            for phi, xi, eta, g, a, b in (
+                (self.phi1v, self.xi1v, self.eta1v, self.g1v, self.a1, self.b1),
+                (self.phi2v, self.xi2v, self.eta2v, self.g2v, self.a2, self.b2)))
+
+    def column(self, S: SpanField):
+        """Product-chart value of a spanning field as (p, d, 1) columns."""
+        return self.jets(S)[0][0][:, :, None]
 
 
-def _value(pd: ProductData, S: SpanField, i):
-    """Product-chart value of a spanning field at point index i."""
-    return pd.jets(S)[0][0][i]
+def _inner(X, g, Y):
+    """g(X, Y) for (p, d, 1) column stacks, as (p, 1, 1) scalars."""
+    return X.swapaxes(1, 2) @ g @ Y
 
 
 # ---------------------------------------------------------------------------
 # Closed-form variants: connection
 # ---------------------------------------------------------------------------
+#
+# The variants take (p, d, 1) column stacks of argument values and return
+# {variant: (p, d, 1) value} over the points.
 
-def _factor_quantities(pd: ProductData, i, which):
-    if which == 1:
-        return (pd.phi1v[i], pd.xi1v[i], pd.eta1v[i], pd.g1v[i],
-                float(pd.a1[i]), float(pd.b1[i]))
-    return (pd.phi2v[i], pd.xi2v[i], pd.eta2v[i], pd.g2v[i],
-            float(pd.a2[i]), float(pd.b2[i]))
-
-
-def _embedded(pd: ProductData, which, w):
-    """A factor-chart vector placed in its block of the product chart."""
-    out = np.zeros(pd.P.dim)
-    out[(pd.P.e1 if which == 1 else pd.P.e2).block] = w
+def _factor_cov(pd: ProductData, which, X: SpanField, Y: SpanField):
+    """Factor covariant derivative nabla^i_X Y in its product-chart block."""
+    _, (xv, _, _) = pd.jets(X)
+    _, (yv, yg, _) = pd.jets(Y)
+    out = np.zeros((pd.points.shape[0], pd.P.dim, 1))
+    out[:, (pd.P.e1 if which == 1 else pd.P.e2).block, 0] = (
+        riemann.cov_vector_at(pd.factor_md[which], ..., xv, yv, yg))
     return out
 
 
-def _factor_cov(pd: ProductData, i, which, X: SpanField, Y: SpanField):
-    """Embedded factor covariant derivative nabla^i_X Y at point index i."""
-    _, (xv, _, _) = pd.jets(X)
-    _, (yv, yg, _) = pd.jets(Y)
-    mdf = pd.md1 if which == 1 else pd.md2
-    return _embedded(pd, which,
-                     riemann.cov_vector_at(mdf, i, xv[i], yv[i], yg[i]))
-
-
-def _factor_curvature(pd: ProductData, i, which, U: SpanField, V: SpanField,
+def _factor_curvature(pd: ProductData, which, U: SpanField, V: SpanField,
                       Z: SpanField):
-    """Embedded factor curvature R^i(U, V) Z at point index i."""
-    mdf = pd.md1 if which == 1 else pd.md2
-    u, v, z = (pd.jets(S)[1][0][i] for S in (U, V, Z))
-    return _embedded(pd, which, riemann.curvature_values(mdf, i, u, v, z))
+    """Factor curvature R^i(U, V) Z in its product-chart block."""
+    out = np.zeros((pd.points.shape[0], pd.P.dim, 1))
+    out[:, (pd.P.e1 if which == 1 else pd.P.e2).block, 0] = (
+        riemann.curvature_values(pd.factor_md[which], ...,
+                                 *(pd.jets(S)[1][0] for S in (U, V, Z))))
+    return out
 
 
-def connection_variants(pd: ProductData, i, X: SpanField, Y: SpanField,
+def connection_variants(pd: ProductData, X: SpanField, Y: SpanField,
                         Xval, Yval):
     """Named closed forms for nabla_X Y, by (factor(X), factor(Y)) block."""
     P = pd.P
     a, b, lam = P.a, P.b, P.lam
-    phi1, xi1, eta1, g1, a1, b1 = _factor_quantities(pd, i, 1)
-    phi2, xi2, eta2, g2, a2, b2 = _factor_quantities(pd, i, 2)
+    (phi1, xi1, eta1, g1, a1, b1), (phi2, xi2, eta2, g2, a2, b2) = (
+        pd.factor_columns)
     case = (X.factor, Y.factor)
     if case == (1, 1):
-        base = _factor_cov(pd, i, 1, X, Y)
-        B1 = b1 * float((phi1 @ Xval) @ g1 @ (phi1 @ Yval))
+        base = _factor_cov(pd, 1, X, Y)
+        B1 = b1 * _inner(phi1 @ Xval, g1, phi1 @ Yval)
         return {
             "reference": base,
             "koszul": base + (a / b ** 2) * B1 * (-a * xi1 + xi2),
         }
     if case == (2, 2):
-        base = _factor_cov(pd, i, 2, X, Y)
-        eX = float(eta2 @ Xval)
-        eY = float(eta2 @ Yval)
-        B2 = b2 * float((phi2 @ Xval) @ g2 @ (phi2 @ Yval))
+        base = _factor_cov(pd, 2, X, Y)
+        eX, eY = eta2 @ Xval, eta2 @ Yval
+        B2 = b2 * _inner(phi2 @ Xval, g2, phi2 @ Yval)
         ref = base - lam * (eX * (a2 * (phi2 @ Yval) + b2 * (phi2 @ (phi2 @ Yval)))
                             + eY * (a2 * (phi2 @ Xval) + b2 * (phi2 @ (phi2 @ Xval))))
         kos = (base
@@ -405,16 +404,14 @@ def connection_variants(pd: ProductData, i, X: SpanField, Y: SpanField,
                + (B2 / b ** 2) * (a * xi1 + (b * b - 1.0) * xi2))
         return {"reference": ref, "koszul": kos}
     if case == (1, 2):
-        eY = float(eta2 @ Yval)
-        eX = float(eta1 @ Xval)
+        eY, eX = eta2 @ Yval, eta1 @ Xval
         ref = -a * (a1 * eY * (phi1 @ Xval) + a2 * eX * (phi2 @ Yval)
                     + b1 * eY * (phi1 @ (phi1 @ Xval))
                     + b2 * eX * (phi2 @ (phi2 @ Yval)))
         kos = -a * (a1 * eY * (phi1 @ Xval) + a2 * eX * (phi2 @ Yval))
         return {"reference": ref, "koszul": kos}
     # case (2, 1)
-    eX = float(eta2 @ Xval)
-    eY = float(eta1 @ Yval)
+    eX, eY = eta2 @ Xval, eta1 @ Yval
     ref = -a * (a1 * eX * (phi1 @ Yval) + a2 * eY * (phi2 @ Xval)
                 + b1 * eX * (phi1 @ (phi1 @ Yval))
                 + b2 * eY * (phi2 @ (phi2 @ Xval)))
@@ -422,24 +419,25 @@ def connection_variants(pd: ProductData, i, X: SpanField, Y: SpanField,
     return {"reference": ref, "koszul": kos}
 
 
-def nabla_j_variants(pd: ProductData, i, X: SpanField, Y: SpanField,
+def nabla_j_variants(pd: ProductData, X: SpanField, Y: SpanField,
                      Xval, Yval):
     """Named closed forms for (nabla_X J) Y, by block case."""
     P = pd.P
     a, b, lam = P.a, P.b, P.lam
     ab2 = a * a + b * b
-    phi1, xi1, eta1, g1, a1, b1 = _factor_quantities(pd, i, 1)
-    phi2, xi2, eta2, g2, a2, b2 = _factor_quantities(pd, i, 2)
+    (phi1, xi1, eta1, g1, a1, b1), (phi2, xi2, eta2, g2, a2, b2) = (
+        pd.factor_columns)
     case = (X.factor, Y.factor)
+    if case in ((1, 1), (2, 2)):
+        phi, g, eta = (phi1, g1, eta1) if case == (1, 1) else (phi2, g2, eta2)
+        gXY = _inner(Xval, g, Yval)
+        eX, eY = eta @ Xval, eta @ Yval
+        phiX = phi @ Xval
+        phi2X = phi @ phiX
+        PhiXY = _inner(Xval, g, phi @ Yval)
+        gpp = _inner(phiX, g, phi @ Yval)
+        gphiXY = _inner(phiX, g, Yval)
     if case == (1, 1):
-        gXY = float(Xval @ g1 @ Yval)
-        eX = float(eta1 @ Xval)
-        eY = float(eta1 @ Yval)
-        phiX = phi1 @ Xval
-        phi2X = phi1 @ phiX
-        PhiXY = float(Xval @ g1 @ (phi1 @ Yval))
-        gpp = float(phiX @ g1 @ (phi1 @ Yval))
-        gphiXY = float(phiX @ g1 @ Yval)
         common = (a1 * gXY * xi1 - a1 * eY * Xval
                   + b1 * gphiXY * xi1 - b1 * eY * phiX
                   - (a / b) * a1 * PhiXY * xi1 + (a1 / b) * PhiXY * xi2)
@@ -455,14 +453,6 @@ def nabla_j_variants(pd: ProductData, i, X: SpanField, Y: SpanField,
         return {"reference": ref, "reference_single_beta": ref_single,
                 "koszul": kos}
     if case == (2, 2):
-        gXY = float(Xval @ g2 @ Yval)
-        eX = float(eta2 @ Xval)
-        eY = float(eta2 @ Yval)
-        phiX = phi2 @ Xval
-        phi2X = phi2 @ phiX
-        PhiXY = float(Xval @ g2 @ (phi2 @ Yval))
-        gpp = float(phiX @ g2 @ (phi2 @ Yval))
-        gphiXY = float(phiX @ g2 @ Yval)
         ref = (a2 * (gXY + lam * eX * eY) * xi2 - ab2 * a2 * eY * Xval
                + b2 * gphiXY * xi2 - ab2 * b2 * eY * phiX
                - (ab2 / b) * (a2 * PhiXY + b2 * gXY - b2 * eX * eY) * xi1
@@ -476,8 +466,7 @@ def nabla_j_variants(pd: ProductData, i, X: SpanField, Y: SpanField,
                + ((b * b - 1.0) / b ** 2) * b2 * PhiXY * xi2)
         return {"reference": ref, "koszul": kos}
     if case == (1, 2):
-        eY = float(eta2 @ Yval)
-        eX = float(eta1 @ Xval)
+        eY, eX = eta2 @ Yval, eta1 @ Xval
         phiX = phi1 @ Xval
         phi2X = phi1 @ phiX
         phi3X = phi1 @ phi2X
@@ -487,8 +476,7 @@ def nabla_j_variants(pd: ProductData, i, X: SpanField, Y: SpanField,
         kos = eY * (b * a1 * phiX + a * a1 * phi2X + (ab2 / b) * b1 * phi2X)
         return {"reference": ref, "koszul": kos}
     # case (2, 1)
-    eY = float(eta1 @ Yval)
-    eX = float(eta2 @ Xval)
+    eY, eX = eta1 @ Yval, eta2 @ Xval
     phiX = phi2 @ Xval
     phi2X = phi2 @ phiX
     phi3X = phi2 @ phi2X
@@ -500,27 +488,27 @@ def nabla_j_variants(pd: ProductData, i, X: SpanField, Y: SpanField,
     return {"reference": ref, "reference_beta2": ref_b2, "koszul": kos}
 
 
-def curvature_variants(pd: ProductData, i, U: SpanField, V: SpanField,
+def curvature_variants(pd: ProductData, U: SpanField, V: SpanField,
                        Z: SpanField, Uval, Vval, Zval):
     """Named closed forms for R(U,V)Z with U,V D-sections of one factor."""
     P = pd.P
     a, b, lam = P.a, P.b, P.lam
-    phi1, xi1, eta1, g1, a1, b1 = _factor_quantities(pd, i, 1)
-    phi2, xi2, eta2, g2, a2, b2 = _factor_quantities(pd, i, 2)
+    (phi1, xi1, eta1, g1, a1, b1), (phi2, xi2, eta2, g2, a2, b2) = (
+        pd.factor_columns)
     uf = U.factor
     if uf == 1:
-        PhiUV = float(Uval @ g1 @ (phi1 @ Vval))
+        PhiUV = _inner(Uval, g1, phi1 @ Vval)
         if Z.factor == 1:
-            base = _factor_curvature(pd, i, 1, U, V, Z)
-            eZ = float(eta1 @ Zval)
+            base = _factor_curvature(pd, 1, U, V, Z)
+            eZ = eta1 @ Zval
             ref = base
             kos = (base
                    - (2 * a * a1 * b1 / b ** 2) * PhiUV * eZ * (-a * xi1 + xi2)
                    - (a * a * b1 * b1 / b ** 2) * (
-                       float((phi1 @ Vval) @ g1 @ (phi1 @ Zval)) * Uval
-                       - float((phi1 @ Uval) @ g1 @ (phi1 @ Zval)) * Vval))
+                       _inner(phi1 @ Vval, g1, phi1 @ Zval) * Uval
+                       - _inner(phi1 @ Uval, g1, phi1 @ Zval) * Vval))
             return {"reference": ref, "koszul": kos}
-        eZ = float(eta2 @ Zval)
+        eZ = eta2 @ Zval
         phi2Z = phi2 @ Zval
         ref = (-2 * a * a1 * a2 * PhiUV * phi2Z
                - 2 * a * b2 * a1 * PhiUV * (phi2 @ phi2Z))
@@ -529,9 +517,9 @@ def curvature_variants(pd: ProductData, i, U: SpanField, V: SpanField,
                    ((a * a + b * b) / b ** 2) * xi1 - (a / b ** 2) * xi2))
         return {"reference": ref, "koszul": kos}
     # U, V in factor 2
-    PhiUV = float(Uval @ g2 @ (phi2 @ Vval))
+    PhiUV = _inner(Uval, g2, phi2 @ Vval)
     if Z.factor == 1:
-        eZ = float(eta1 @ Zval)
+        eZ = eta1 @ Zval
         phi1Z = phi1 @ Zval
         ref = (-2 * a * a1 * a2 * PhiUV * phi1Z
                - 2 * a * a2 * b1 * PhiUV * (phi1 @ phi1Z))
@@ -539,15 +527,11 @@ def curvature_variants(pd: ProductData, i, U: SpanField, V: SpanField,
                + 2 * a * a2 * b2 * PhiUV * eZ * (
                    -(a / b ** 2) * xi1 + (1.0 / b ** 2) * xi2))
         return {"reference": ref, "koszul": kos}
-    base = _factor_curvature(pd, i, 2, U, V, Z)
-    eZ = float(eta2 @ Zval)
-    phiU = phi2 @ Uval
-    phiV = phi2 @ Vval
-    phiZ = phi2 @ Zval
-    PhiVZ = float(Vval @ g2 @ phiZ)
-    PhiUZ = float(Uval @ g2 @ phiZ)
-    gppVZ = float(phiV @ g2 @ phiZ)
-    gppUZ = float(phiU @ g2 @ phiZ)
+    base = _factor_curvature(pd, 2, U, V, Z)
+    eZ = eta2 @ Zval
+    phiU, phiV, phiZ = phi2 @ Uval, phi2 @ Vval, phi2 @ Zval
+    PhiVZ, PhiUZ = _inner(Vval, g2, phiZ), _inner(Uval, g2, phiZ)
+    gppVZ, gppUZ = _inner(phiV, g2, phiZ), _inner(phiU, g2, phiZ)
     ref = base + lam * (
         PhiVZ * (a2 * phiU + b2 * (phi2 @ phiU))
         - PhiUZ * (a2 * phiV + b2 * (phi2 @ phiV))
@@ -564,31 +548,40 @@ def curvature_variants(pd: ProductData, i, U: SpanField, V: SpanField,
 # Reports
 # ---------------------------------------------------------------------------
 
+def _point_major(name, r, points):
+    """A tracker fed r[argument, point] point by point, arguments in order
+    within a point."""
+    r = np.asarray(r).reshape(-1, points.shape[0])
+    return ResidualTracker.from_points(name, r.T.ravel(),
+                                       np.repeat(points, r.shape[0], 0))
+
+
 def _adjudicate(pd: ProductData, name, tol, families, zero_families):
     """Residuals of every family over the points, as one report.
 
     families maps a family name to (argument tuples, variant names, fn),
-    where fn(i, *args) returns the generic value and {variant: value} at
-    point index i; a variant's residual is the frame norm of generic - value.
-    A family's residual is that of its best variant, and the variants within
-    tolerance are recorded as matched. zero_families maps a family name to
-    (argument tuples, fn), where fn(i, *args) returns the residual of a
-    generic quantity that must vanish; one at or above tol raises the
-    report's max and verdict. Updates run point-major, so each tracker sees
-    its samples in point order.
+    where fn(*args) returns the generic value and {variant: value} at every
+    point as (p, d, 1) stacks; a variant's residual is the frame norm of
+    generic - value at each point. A family's residual is that of its best
+    variant, and the variants within tolerance are recorded as matched.
+    zero_families maps a family name to (argument tuples, fn), where
+    fn(*args) returns the (p,) residuals of a generic quantity that must
+    vanish; one at or above tol raises the report's max and verdict. Each
+    tracker sees its samples point-major, arguments in order within a point.
     """
-    trackers = {fam: {v: ResidualTracker(fam) for v in names}
-                for fam, (_, names, _) in families.items()}
-    zero = {fam: ResidualTracker(fam) for fam in zero_families}
-    for i, p in enumerate(pd.points):
-        for fam, (args, _, fn) in families.items():
-            for a in args:
-                generic, variants = fn(i, *a)
-                for vn, val in variants.items():
-                    trackers[fam][vn].update(pd.residual_norm(i, generic - val), p)
-        for fam, (args, fn) in zero_families.items():
-            for a in args:
-                zero[fam].update(fn(i, *a), p)
+    g0, frames = pd.md.g0, pd.frames
+    trackers = {}
+    for fam, (args, names, fn) in families.items():
+        res = {v: [] for v in names}
+        for a in args:
+            generic, variants = fn(*a)
+            for vn, val in variants.items():
+                res[vn].append(
+                    riemann.vector_residual_norm(g0, frames, generic - val))
+        trackers[fam] = {v: _point_major(fam, r, pd.points)
+                         for v, r in res.items()}
+    zero = [_point_major(fam, [fn(*a) for a in args], pd.points)
+            for fam, (args, fn) in zero_families.items()]
 
     best = [min(v.values(), key=lambda t: t.max) for v in trackers.values()]
     rep = CheckReport.from_trackers(name, tol, best)
@@ -596,9 +589,9 @@ def _adjudicate(pd: ProductData, name, tol, families, zero_families):
         fam: {"variants": {k: t.max for k, t in v.items()},
               "matched": sorted(k for k, t in v.items() if t.max < tol)}
         for fam, v in trackers.items()}
-    for t in zero.values():
+    for t in zero:
         rep.details["families"][t.name] = t.summary()
-    over = [t.max for t in zero.values() if t.max >= tol]
+    over = [t.max for t in zero if t.max >= tol]
     if over:
         rep.max_residual = max(rep.max_residual, *over)
         rep.verdict = verdict_for(rep.max_residual, tol)
@@ -619,13 +612,14 @@ def connection_closed_form_report(ev: Evaluator, P: ProductHermitian,
     span = pd.span
     reebs = (span[1][0], span[2][0])
 
-    def cov(i, X, Y):
+    def cov(X, Y):
+        (xv, _, _), _ = pd.jets(X)
         (yv, yg, _), _ = pd.jets(Y)
-        return riemann.cov_vector_at(pd.md, i, _value(pd, X, i), yv[i], yg[i])
+        return riemann.cov_vector_at(pd.md, ..., xv, yv, yg)[:, :, None]
 
-    def closed(i, X, Y):
-        return cov(i, X, Y), connection_variants(
-            pd, i, X, Y, _value(pd, X, i), _value(pd, Y, i))
+    def closed(X, Y):
+        return cov(X, Y), connection_variants(pd, X, Y, pd.column(X),
+                                              pd.column(Y))
 
     families = {
         f"nabla_X{u}_Y{v}": ([(X, Y) for X in span[u] for Y in span[v]],
@@ -633,7 +627,8 @@ def connection_closed_form_report(ev: Evaluator, P: ProductHermitian,
         for u, v in _BLOCKS}
     zero = {"nabla_xi_xi_zero": (
         [(X, Y) for X in reebs for Y in reebs],
-        lambda i, X, Y: pd.residual_norm(i, cov(i, X, Y)))}
+        lambda X, Y: riemann.vector_residual_norm(pd.md.g0, pd.frames,
+                                                  cov(X, Y)))}
     return _adjudicate(pd, "connection_closed_forms", tol, families, zero)
 
 
@@ -644,12 +639,12 @@ def nabla_J_report(ev: Evaluator, P: ProductHermitian, points, tol
     span = pd.span
     C0, _ = pd.nabla_J()
 
-    def nabla_XJ(i, X):
-        return np.einsum("ijm,m->ij", C0[i], _value(pd, X, i))
+    def nabla_XJ(X):
+        return np.einsum("pijm,pm->pij", C0, pd.jets(X)[0][0])
 
-    def closed(i, X, Y):
-        return nabla_XJ(i, X) @ _value(pd, Y, i), nabla_j_variants(
-            pd, i, X, Y, _value(pd, X, i), _value(pd, Y, i))
+    def closed(X, Y):
+        return nabla_XJ(X) @ pd.column(Y), nabla_j_variants(
+            pd, X, Y, pd.column(X), pd.column(Y))
 
     names = {(1, 1): ("reference", "reference_single_beta", "koszul"),
              (2, 2): ("reference", "koszul"),
@@ -661,8 +656,8 @@ def nabla_J_report(ev: Evaluator, P: ProductHermitian, points, tol
         for u, v in _BLOCKS}
     zero = {"nabla_xiJ_zero": (
         [(span[1][0],), (span[2][0],)],
-        lambda i, S: riemann.endo_residual_norm(pd.md.g0[i], pd.frames[i],
-                                                nabla_XJ(i, S)))}
+        lambda S: riemann.endo_residual_norm(pd.md.g0, pd.frames,
+                                             nabla_XJ(S)))}
     return _adjudicate(pd, "nabla_J_closed_forms", tol, families, zero)
 
 
@@ -672,39 +667,37 @@ def curvature_closed_form_report(ev: Evaluator, P: ProductHermitian, points,
     pd = ProductData(ev, P, points)
     span = pd.span
     xi = {w: span[w][0] for w in (1, 2)}
-    riem = pd.md.riemann()
+    (_, xi1, eta1, _, _, b1), (phi2, xi2, _, g2, a2, b2) = pd.factor_columns
 
-    def R(i, U, V, Z):
-        return np.einsum("lkij,i,j,k->l", riem[i], _value(pd, U, i),
-                         _value(pd, V, i), _value(pd, Z, i))
+    def R(U, V, Z):
+        return riemann.curvature_values(
+            pd.md, ..., *(pd.jets(S)[0][0] for S in (U, V, Z)))[:, :, None]
 
-    def closed(i, U, V, Z):
-        return R(i, U, V, Z), curvature_variants(
-            pd, i, U, V, Z, _value(pd, U, i), _value(pd, V, i),
-            _value(pd, Z, i))
+    def closed(U, V, Z):
+        return R(U, V, Z), curvature_variants(
+            pd, U, V, Z, pd.column(U), pd.column(V), pd.column(Z))
 
-    def own_reeb(i, U, V):
+    def own_reeb(U, V):
         """R(U, V) xi_w for U, V in factor w, against its printed shortcut."""
-        generic, variants = closed(i, U, V, xi[U.factor])
+        generic, variants = closed(U, V, xi[U.factor])
         if U.factor == 1:
             (uv, ug, _), _ = pd.jets(U)
             (vv, vg, _), _ = pd.jets(V)
-            br = vg[i] @ uv[i] - ug[i] @ vv[i]
-            printed = -float(pd.b1[i]) * float(pd.eta1v[i] @ br) * pd.xi1v[i]
+            br = vg @ uv[:, :, None] - ug @ vv[:, :, None]
+            printed = -b1 * (eta1 @ br) * xi1
         else:
-            phi2, xi2, _, g2, a2, b2 = _factor_quantities(pd, i, 2)
-            phiU = phi2 @ _value(pd, U, i)
-            phi2V = phi2 @ (phi2 @ _value(pd, V, i))
-            gpp2 = float(phiU @ g2 @ phi2V)
-            gpp3 = float(phiU @ g2 @ (phi2 @ phi2V))
-            printed = _factor_curvature(pd, i, 2, U, V, xi[2]) + P.lam * (
+            phiU = phi2 @ pd.column(U)
+            phi2V = phi2 @ (phi2 @ pd.column(V))
+            gpp2 = _inner(phiU, g2, phi2V)
+            gpp3 = _inner(phiU, g2, phi2 @ phi2V)
+            printed = _factor_curvature(pd, 2, U, V, xi[2]) + P.lam * (
                 2 * a2 * b2 * gpp2 - 2 * b2 * b2 * gpp3) * xi2
         return generic, {"reference": printed, "koszul": variants["koszul"]}
 
-    def other_reeb(i, U, V):
+    def other_reeb(U, V):
         """R(U, V) xi_other for U, V in one factor; printed as zero."""
-        generic, variants = closed(i, U, V, xi[3 - U.factor])
-        return generic, {"reference": np.zeros(P.dim),
+        generic, variants = closed(U, V, xi[3 - U.factor])
+        return generic, {"reference": np.zeros_like(generic),
                          "koszul": variants["koszul"]}
 
     # diagonal pairs (U, U) are kept: the generic side vanishes there by
@@ -726,43 +719,35 @@ def curvature_closed_form_report(ev: Evaluator, P: ProductHermitian, points,
     # R(xi1, xi2) annihilates everything
     zero = {"R_xi1_xi2_zero": (
         [(Z,) for Z in span[1] + span[2]],
-        lambda i, Z: pd.residual_norm(i, R(i, xi[1], xi[2], Z)))}
+        lambda Z: riemann.vector_residual_norm(pd.md.g0, pd.frames,
+                                               R(xi[1], xi[2], Z)))}
     return _adjudicate(pd, "curvature_closed_forms", tol, families, zero)
 
 
 def integrability_report(ev: Evaluator, P: ProductHermitian, points, tol
                          ) -> CheckReport:
-    """Nijenhuis tensor of J over coordinate-basis pairs."""
+    """Nijenhuis tensor of J over coordinate-basis pairs.
+
+    On a chart [d_i, d_j] = 0, [J d_i, d_j] = -d_j(J d_i) and
+    [d_i, J d_j] = d_i(J d_j), so N(d_i, d_j) comes from the jet of J alone.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
     d = P.dim
-    Jcols = [endo_apply_field(P.J, coordinate_field(P.chart, j))
-             for j in range(d)]
-    Jv, _, _ = geom.eval_endo(ev, P.J, pts)
-    t = ResidualTracker("nijenhuis")
+    Jv, Jg, _ = geom.eval_endo(ev, P.J, pts)
     md = riemann.MetricData(ev, P.G, pts)
-    # [J d_i, J d_j] brackets batched; [J d_i, d_j] reduces to -d_j(J d_i)
-    brJJ = {}
-    for i_ in range(d):
-        for j_ in range(i_ + 1, d):
-            brJJ[(i_, j_)] = geom.lie_bracket(ev, Jcols[i_], Jcols[j_], pts)
-    jac = [geom.eval_vector(ev, Jcols[i_], pts)[1] for i_ in range(d)]
-    for ip in range(pts.shape[0]):
-        p = pts[ip]
-        J0 = Jv[ip]
-        frame = riemann.orthonormal_frame(md.g0[ip])
-        for i_ in range(d):
-            for j_ in range(i_ + 1, d):
-                # [d_i, d_j] = 0 on a chart
-                bJJ = brJJ[(i_, j_)][ip]
-                # [J d_i, d_j]^k = - d_j (J d_i)^k ; [d_i, J d_j]^k = d_i (J d_j)^k
-                bJi_dj = -jac[i_][ip][:, j_]
-                bdi_Jj = jac[j_][ip][:, i_]
-                N = bJJ - J0 @ bJi_dj - J0 @ bdi_Jj
-                t.update(riemann.vector_residual_norm(md.g0[ip], frame, N), p)
-    verdict = "pass" if t.max < tol else verdict_for(t.max, tol)
-    rep = CheckReport.from_trackers("integrability", tol, [t], verdict=verdict)
+    frames = riemann.orthonormal_frame_within(
+        md.g0, np.broadcast_to(np.eye(d), md.g0.shape))
+    # [J d_i, J d_j]^k = A[k, i, j] - A[k, j, i], A[k, i, j] = J^m_i d_m J^k_j
+    A = np.einsum("pmi,pkjm->pkij", Jv, Jg)
+    N = (A - A.swapaxes(2, 3) + np.einsum("pkl,plij->pkij", Jv, Jg)
+         - np.einsum("pkl,plji->pkij", Jv, Jg))
+    pairs = zip(*np.triu_indices(d, 1))
+    t = _point_major("nijenhuis", [
+        riemann.vector_residual_norm(md.g0, frames, N[:, :, i, j])
+        for i, j in pairs], pts)
+    rep = CheckReport.from_trackers("integrability", tol, [t])
     rep.details["integrable"] = bool(t.max < tol)
     return rep
 
@@ -771,22 +756,17 @@ def product_invariants_report(ev: Evaluator, P: ProductHermitian, points,
                               tol) -> CheckReport:
     """J^2 = -Id, G-Hermitian J, positive definiteness, block pairing."""
     pd = ProductData(ev, P, points)
-    t_j2 = ResidualTracker("J^2 + Id")
-    t_herm = ResidualTracker("G(J.,J.) - G")
-    t_pos = ResidualTracker("negative eigenvalue margin")
-    t_blk = ResidualTracker("cross-block pairing vs a*eta1*eta2")
-    eye = np.eye(P.dim)
-    for i in range(pd.points.shape[0]):
-        p = pd.points[i]
-        J0 = pd.Jv[i]
-        g0 = pd.md.g0[i]
-        t_j2.update_many(J0 @ J0 + eye, p)
-        t_herm.update_many(J0.T @ g0 @ J0 - g0, p)
-        eig = float(np.min(np.linalg.eigvalsh(g0)))
-        t_pos.update(0.0 if eig > 0 else abs(eig), p)
-        cross = g0[P.e1.block, P.e2.block]
-        expected = P.a * np.outer(pd.eta1v[i][P.e1.block],
-                                  pd.eta2v[i][P.e2.block])
-        t_blk.update_many(cross - expected, p)
+    J0, g0 = pd.Jv, pd.md.g0
+    eig = np.linalg.eigvalsh(g0)[:, 0]
+    blk1, blk2 = P.e1.block, P.e2.block
+    families = {
+        "J^2 + Id": J0 @ J0 + np.eye(P.dim),
+        "G(J.,J.) - G": J0.swapaxes(1, 2) @ g0 @ J0 - g0,
+        "negative eigenvalue margin": np.where(eig > 0, 0.0, np.abs(eig)),
+        "cross-block pairing vs a*eta1*eta2": g0[:, blk1, blk2] - P.a * (
+            pd.eta1v[:, blk1, None] * pd.eta2v[:, None, blk2]),
+    }
     return CheckReport.from_trackers(
-        "product_invariants", tol, [t_j2, t_herm, t_pos, t_blk])
+        "product_invariants", tol,
+        [ResidualTracker.from_points(n, v, pd.points)
+         for n, v in families.items()])

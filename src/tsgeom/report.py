@@ -40,6 +40,8 @@ WORST_POINT_RTOL = 1e-12
 class ResidualTracker:
     """Max/mean/worst-point accumulator.
 
+    samples counts update calls; count counts the components the mean is
+    taken over (update_many adds one sample of many components).
     max is the true maximum. The worst point is the first point whose value
     is within WORST_POINT_RTOL of it: a later sample takes over only when it
     is clearly larger, so a family that is constant up to roundoff keeps its
@@ -48,6 +50,7 @@ class ResidualTracker:
 
     def __init__(self, name: str):
         self.name = name
+        self.samples = 0
         self.count = 0
         self.total = 0.0
         self.max = 0.0
@@ -59,6 +62,7 @@ class ResidualTracker:
         if not math.isfinite(v):  # a NaN must fail, not vanish from the max
             v = math.inf
         first = self.count == 0
+        self.samples += 1
         self.count += 1
         self.total += v
         if first or v > self.max:
@@ -71,10 +75,12 @@ class ResidualTracker:
 
     @classmethod
     def from_points(cls, name, values, points):
-        """A tracker fed one sample per point, in point order."""
+        """A tracker fed one sample per point, in point order; a sample
+        given as an array of components goes through update_many."""
         t = cls(name)
+        feed = t.update if np.ndim(values) == 1 else t.update_many
         for v, p in zip(values, points):
-            t.update(v, p)
+            feed(v, p)
         return t
 
     def update_many(self, values, point=None):
@@ -94,6 +100,7 @@ class ResidualTracker:
         return {
             "max_residual": self.max,
             "mean_residual": self.mean,
+            "samples": self.samples,
             "worst_point": list(self.worst_point) if self.worst_point else None,
         }
 

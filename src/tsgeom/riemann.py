@@ -105,9 +105,9 @@ def christoffel(ev: Evaluator, g: MetricField, p) -> np.ndarray:
 
 
 def curvature_values(md: MetricData, i, X, Y, Z) -> np.ndarray:
-    """R(X, Y) Z at point index i of md, for pointwise vector values."""
-    riem = md.riemann()[i]
-    return np.einsum("lkij,i,j,k->l", riem, X, Y, Z)
+    """R(X, Y) Z from vector values at point index i of md, or at every
+    point for i = ... with (p, d) stacks X, Y, Z."""
+    return np.einsum("...lkij,...i,...j,...k->...l", md.riemann()[i], X, Y, Z)
 
 
 def covariant_derivative_vector(ev: Evaluator, g: MetricField, X: VectorField,
@@ -123,8 +123,10 @@ def covariant_derivative_vector(ev: Evaluator, g: MetricField, X: VectorField,
 
 
 def cov_vector_at(md: MetricData, i, Xval, Yval, Ygrad) -> np.ndarray:
-    """nabla_X Y at point index i from pointwise data (X enters pointwise)."""
-    return Ygrad @ Xval + np.einsum("kij,i,j->k", md.gamma0[i], Xval, Yval)
+    """nabla_X Y from pointwise data (X enters pointwise) at point index i
+    of md, or at every point for i = ... with (p, d) and (p, d, d) stacks."""
+    return (np.einsum("...ki,...i->...k", Ygrad, Xval)
+            + np.einsum("...kij,...i,...j->...k", md.gamma0[i], Xval, Yval))
 
 
 def cov_vector_jet(md: MetricData, i, Xval, Xgrad, Yval, Ygrad, Yhess):

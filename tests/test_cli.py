@@ -306,3 +306,50 @@ class TestEmitAndMain:
         s = canonical_json({"x": 0.1, "y": 1.0 / 3.0})
         assert '"x":0.1' in s
         assert json.loads(s)["y"] == 1.0 / 3.0
+
+
+class TestErrorCapture:
+    """Only the engine's domain errors become failing checks."""
+
+    LOG_FACTOR = {
+        "name": "log_alpha", "dim": 3, "coords": ["t", "x", "y"],
+        "g": [["1", "0", "0"], ["0", "exp(4*t)", "0"],
+              ["0", "0", "exp(4*t)"]],
+        "phi": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+        "xi": ["1", "0", "0"], "eta": ["1", "0", "0"],
+        "alpha": "log(t)", "beta": "2",
+    }
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr(cli, "connection_closed_form_report", broken)
+        mf = resolve_manifest(dict(MINIMAL, checks=["connection"],
+                                   sampling={"count": 4}))
+        with pytest.raises(TypeError):
+            run(mf)
+
+    def test_programming_error_propagates_from_classify(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr(cli, "factor_class_report", broken)
+        with pytest.raises(TypeError):
+            cli.classify(resolve_manifest(dict(MINIMAL,
+                                               sampling={"count": 4})))
+
+    def test_domain_error_is_a_failing_check_with_its_origin(self):
+        # log(t) is undefined on the t <= 0 half of the sampling box
+        mf = resolve_manifest({
+            "factors": [{"builtin": "sasakian_heisenberg"},
+                        {"custom": self.LOG_FACTOR}],
+            "checks": ["trans_sasakian"],
+            "sampling": {"count": 6},
+        })
+        out = run(mf)
+        assert out["overall_verdict"] == "fail"
+        chk = out["checks"][1]
+        assert chk["verdict"] == "fail"
+        assert chk["details"]["error"].startswith("EvalDomainError: ")
+        assert chk["details"]["error_origin"].startswith("tsgeom.expr.")

@@ -1,11 +1,14 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsgeom import cli, contact, geom, product, riemann
+from tsgeom import cli, contact, geom, harmonic, product, riemann
 from tsgeom.contact import builtin_factor
-from tsgeom.expr import JET
+from tsgeom.expr import JET, parse
 from tsgeom.geom import sample_points
 from tsgeom.product import (
     DEFAULT_AB_GRID, UnvalidatedFactor, ZeroB, build_product,
@@ -13,6 +16,7 @@ from tsgeom.product import (
     integrability_report, nabla_J_report, product_invariants_report,
     spanning_fields,
 )
+from tsgeom.report import CheckReport, ResidualTracker, verdict_for
 
 FLAT = "cosymplectic_flat"
 SAS = "sasakian_heisenberg"
@@ -323,3 +327,431 @@ class TestAdjudication:
             got[rep.name] = {fam: info["matched"] for fam, info in
                              rep.details["variant_adjudication"].items()}
         assert got == self.expected(ab[0])
+
+
+def test_point_major_feed_pairs_each_value_with_its_point():
+    # r[argument, point]: the largest value is argument 0 at point 1
+    t = product._point_major("family", [[0.0, 5.0], [1.0, 0.0]],
+                             np.array([[10.0], [20.0]]))
+    assert (t.max, t.worst_point, t.samples) == (5.0, (20.0,), 4)
+
+
+class TestIntegrabilitySamples:
+    def test_one_sample_per_point_and_coordinate_pair(self):
+        P = make(SAS, KEN, a=1.0, b=2.0)
+        rep = integrability_report(JET, P, pts(P, 7), 1e-6)
+        d = P.dim
+        assert rep.details["families"]["nijenhuis"]["samples"] == (
+            7 * d * (d - 1) // 2)
+
+
+# ---------------------------------------------------------------------------
+# Per-point oracle: the point-by-point adjudication loop, with the closed
+# forms, the generic values and the Nijenhuis tensor written for one point
+# ---------------------------------------------------------------------------
+
+def _quantities(pd, i, w):
+    if w == 1:
+        return (pd.phi1v[i], pd.xi1v[i], pd.eta1v[i], pd.g1v[i],
+                float(pd.a1[i]), float(pd.b1[i]))
+    return (pd.phi2v[i], pd.xi2v[i], pd.eta2v[i], pd.g2v[i],
+            float(pd.a2[i]), float(pd.b2[i]))
+
+
+def _cov_at(md, i, x, y, yg):
+    return yg @ x + np.einsum("kij,i,j->k", md.gamma0[i], x, y)
+
+
+def _curv_at(md, i, u, v, z):
+    return np.einsum("lkij,i,j,k->l", md.riemann()[i], u, v, z)
+
+
+def _embed(pd, w, vec):
+    out = np.zeros(pd.P.dim)
+    out[(pd.P.e1 if w == 1 else pd.P.e2).block] = vec
+    return out
+
+
+def _fcov(pd, i, w, X, Y):
+    _, (xv, _, _) = pd.jets(X)
+    _, (yv, yg, _) = pd.jets(Y)
+    return _embed(pd, w, _cov_at(pd.factor_md[w], i, xv[i], yv[i], yg[i]))
+
+
+def _fcurv(pd, i, w, U, V, Z):
+    u, v, z = (pd.jets(S)[1][0][i] for S in (U, V, Z))
+    return _embed(pd, w, _curv_at(pd.factor_md[w], i, u, v, z))
+
+
+def _connection_at(pd, i, X, Y, Xval, Yval):
+    a, b, lam = pd.P.a, pd.P.b, pd.P.lam
+    phi1, xi1, eta1, g1, a1, b1 = _quantities(pd, i, 1)
+    phi2, xi2, eta2, g2, a2, b2 = _quantities(pd, i, 2)
+    case = (X.factor, Y.factor)
+    if case == (1, 1):
+        base = _fcov(pd, i, 1, X, Y)
+        B1 = b1 * float((phi1 @ Xval) @ g1 @ (phi1 @ Yval))
+        return {"reference": base,
+                "koszul": base + (a / b ** 2) * B1 * (-a * xi1 + xi2)}
+    if case == (2, 2):
+        base = _fcov(pd, i, 2, X, Y)
+        eX, eY = float(eta2 @ Xval), float(eta2 @ Yval)
+        B2 = b2 * float((phi2 @ Xval) @ g2 @ (phi2 @ Yval))
+        ref = base - lam * (eX * (a2 * (phi2 @ Yval) + b2 * (phi2 @ (phi2 @ Yval)))
+                            + eY * (a2 * (phi2 @ Xval) + b2 * (phi2 @ (phi2 @ Xval))))
+        kos = (base - lam * a2 * (eX * (phi2 @ Yval) + eY * (phi2 @ Xval))
+               + (B2 / b ** 2) * (a * xi1 + (b * b - 1.0) * xi2))
+        return {"reference": ref, "koszul": kos}
+    if case == (1, 2):
+        eY, eX = float(eta2 @ Yval), float(eta1 @ Xval)
+        ref = -a * (a1 * eY * (phi1 @ Xval) + a2 * eX * (phi2 @ Yval)
+                    + b1 * eY * (phi1 @ (phi1 @ Xval))
+                    + b2 * eX * (phi2 @ (phi2 @ Yval)))
+        kos = -a * (a1 * eY * (phi1 @ Xval) + a2 * eX * (phi2 @ Yval))
+        return {"reference": ref, "koszul": kos}
+    eX, eY = float(eta2 @ Xval), float(eta1 @ Yval)
+    ref = -a * (a1 * eX * (phi1 @ Yval) + a2 * eY * (phi2 @ Xval)
+                + b1 * eX * (phi1 @ (phi1 @ Yval))
+                + b2 * eY * (phi2 @ (phi2 @ Xval)))
+    kos = -a * (a1 * eX * (phi1 @ Yval) + a2 * eY * (phi2 @ Xval))
+    return {"reference": ref, "koszul": kos}
+
+
+def _nabla_j_at(pd, i, X, Y, Xval, Yval):
+    a, b, lam = pd.P.a, pd.P.b, pd.P.lam
+    ab2 = a * a + b * b
+    phi1, xi1, eta1, g1, a1, b1 = _quantities(pd, i, 1)
+    phi2, xi2, eta2, g2, a2, b2 = _quantities(pd, i, 2)
+    case = (X.factor, Y.factor)
+    if case in ((1, 1), (2, 2)):
+        phi, g, eta = (phi1, g1, eta1) if case == (1, 1) else (phi2, g2, eta2)
+        gXY = float(Xval @ g @ Yval)
+        eX, eY = float(eta @ Xval), float(eta @ Yval)
+        phiX = phi @ Xval
+        phi2X = phi @ phiX
+        PhiXY = float(Xval @ g @ (phi @ Yval))
+        gpp = float(phiX @ g @ (phi @ Yval))
+        gphiXY = float(phiX @ g @ Yval)
+    if case == (1, 1):
+        common = (a1 * gXY * xi1 - a1 * eY * Xval
+                  + b1 * gphiXY * xi1 - b1 * eY * phiX
+                  - (a / b) * a1 * PhiXY * xi1 + (a1 / b) * PhiXY * xi2)
+        ref_tail = (- (a / b) * b1 * gpp * xi1
+                    - (a / b) * b1 * eY * Xval + (a / b) * b1 * eY * eX * xi1)
+        return {"reference": common + (b1 * b1 / b) * gpp * xi2 + ref_tail,
+                "reference_single_beta": common + (b1 / b) * gpp * xi2 + ref_tail,
+                "koszul": (common - (a * a / b ** 2) * b1 * PhiXY * xi1
+                           + (a / b ** 2) * b1 * PhiXY * xi2
+                           + (b1 / b) * gpp * xi2
+                           + (a / b) * b1 * eY * phi2X)}
+    if case == (2, 2):
+        ref = (a2 * (gXY + lam * eX * eY) * xi2 - ab2 * a2 * eY * Xval
+               + b2 * gphiXY * xi2 - ab2 * b2 * eY * phiX
+               - (ab2 / b) * (a2 * PhiXY + b2 * gXY - b2 * eX * eY) * xi1
+               + (a / b) * (a2 * PhiXY + b2 * gXY - b2 * eX * eY) * xi2)
+        kos = (a2 * gXY * xi2 - a2 * eY * Xval
+               + b2 * gphiXY * xi2 - b2 * eY * phiX
+               + lam * a2 * eY * phi2X - (a / b) * b2 * eY * phi2X
+               - (ab2 / b) * a2 * PhiXY * xi1 + (a / b) * a2 * PhiXY * xi2
+               - (1.0 / b) * b2 * gpp * xi1
+               + (a / b ** 2) * b2 * PhiXY * xi1
+               + ((b * b - 1.0) / b ** 2) * b2 * PhiXY * xi2)
+        return {"reference": ref, "koszul": kos}
+    if case == (1, 2):
+        eY, eX = float(eta2 @ Yval), float(eta1 @ Xval)
+        phiX = phi1 @ Xval
+        phi2X = phi1 @ phiX
+        ref = (a * a1 * eY * eX * xi1 - a * a1 * eY * Xval
+               + b * a1 * eY * phiX - b * b1 * eY * Xval
+               + b * b1 * eY * eX * xi1 + a * b1 * eY * (phi1 @ phi2X))
+        kos = eY * (b * a1 * phiX + a * a1 * phi2X + (ab2 / b) * b1 * phi2X)
+        return {"reference": ref, "koszul": kos}
+    eY, eX = float(eta1 @ Yval), float(eta2 @ Xval)
+    phiX = phi2 @ Xval
+    phi2X = phi2 @ phiX
+    ref_base = (a * a2 * (eY * eX * xi2 - eY * Xval) - b * a2 * eY * phiX
+                + (ab2 / b) * b2 * phi2X + (a * a / b) * eY * b2 * phi2X)
+    return {"reference": ref_base + a * b1 * eY * (phi2 @ phi2X),
+            "reference_beta2": ref_base + a * b2 * eY * (phi2 @ phi2X),
+            "koszul": eY * (-b * a2 * phiX + a * a2 * phi2X - (b2 / b) * phi2X)}
+
+
+def _curvature_at(pd, i, U, V, Z, Uval, Vval, Zval):
+    a, b, lam = pd.P.a, pd.P.b, pd.P.lam
+    phi1, xi1, eta1, g1, a1, b1 = _quantities(pd, i, 1)
+    phi2, xi2, eta2, g2, a2, b2 = _quantities(pd, i, 2)
+    if U.factor == 1:
+        PhiUV = float(Uval @ g1 @ (phi1 @ Vval))
+        if Z.factor == 1:
+            base = _fcurv(pd, i, 1, U, V, Z)
+            eZ = float(eta1 @ Zval)
+            kos = (base
+                   - (2 * a * a1 * b1 / b ** 2) * PhiUV * eZ * (-a * xi1 + xi2)
+                   - (a * a * b1 * b1 / b ** 2) * (
+                       float((phi1 @ Vval) @ g1 @ (phi1 @ Zval)) * Uval
+                       - float((phi1 @ Uval) @ g1 @ (phi1 @ Zval)) * Vval))
+            return {"reference": base, "koszul": kos}
+        eZ = float(eta2 @ Zval)
+        phi2Z = phi2 @ Zval
+        ref = (-2 * a * a1 * a2 * PhiUV * phi2Z
+               - 2 * a * b2 * a1 * PhiUV * (phi2 @ phi2Z))
+        kos = (-2 * a * a1 * a2 * PhiUV * phi2Z
+               + 2 * a * a1 * b1 * PhiUV * eZ * (
+                   ((a * a + b * b) / b ** 2) * xi1 - (a / b ** 2) * xi2))
+        return {"reference": ref, "koszul": kos}
+    PhiUV = float(Uval @ g2 @ (phi2 @ Vval))
+    if Z.factor == 1:
+        eZ = float(eta1 @ Zval)
+        phi1Z = phi1 @ Zval
+        ref = (-2 * a * a1 * a2 * PhiUV * phi1Z
+               - 2 * a * a2 * b1 * PhiUV * (phi1 @ phi1Z))
+        kos = (-2 * a * a1 * a2 * PhiUV * phi1Z
+               + 2 * a * a2 * b2 * PhiUV * eZ * (
+                   -(a / b ** 2) * xi1 + (1.0 / b ** 2) * xi2))
+        return {"reference": ref, "koszul": kos}
+    base = _fcurv(pd, i, 2, U, V, Z)
+    eZ = float(eta2 @ Zval)
+    phiU, phiV, phiZ = phi2 @ Uval, phi2 @ Vval, phi2 @ Zval
+    PhiVZ, PhiUZ = float(Vval @ g2 @ phiZ), float(Uval @ g2 @ phiZ)
+    gppVZ, gppUZ = float(phiV @ g2 @ phiZ), float(phiU @ g2 @ phiZ)
+    ref = base + lam * (
+        PhiVZ * (a2 * phiU + b2 * (phi2 @ phiU))
+        - PhiUZ * (a2 * phiV + b2 * (phi2 @ phiV))
+        - 2 * a2 * PhiUV * (a2 * phiZ + b2 * (phi2 @ phiZ)))
+    kos = (base
+           + lam * a2 * a2 * (PhiVZ * phiU - PhiUZ * phiV - 2 * PhiUV * phiZ)
+           + ((b * b - 1.0) / b ** 2) * b2 * b2 * (gppVZ * Uval - gppUZ * Vval)
+           + 2 * a2 * b2 * PhiUV * eZ * (
+               -(a * (a * a + b * b) / b ** 2) * xi1 + (a * a / b ** 2) * xi2))
+    return {"reference": ref, "koszul": kos}
+
+
+def _oracle_tables(pd, which):
+    """(families, zero families) of one closed-form report, per point."""
+    span = pd.span
+    val = lambda S, i: pd.jets(S)[0][0][i]  # noqa: E731
+    norm = lambda i, v: float(np.max(np.abs(  # noqa: E731
+        pd.frames[i] @ pd.md.g0[i] @ v)))
+    blocks = ((1, 1), (2, 2), (1, 2), (2, 1))
+    if which == "connection":
+        def cov(i, X, Y):
+            (yv, yg, _), _ = pd.jets(Y)
+            return _cov_at(pd.md, i, val(X, i), yv[i], yg[i])
+
+        def closed(i, X, Y):
+            return cov(i, X, Y), _connection_at(pd, i, X, Y, val(X, i),
+                                                val(Y, i))
+        reebs = (span[1][0], span[2][0])
+        return ({f"nabla_X{u}_Y{v}": (
+                    [(X, Y) for X in span[u] for Y in span[v]],
+                    ("reference", "koszul"), closed) for u, v in blocks},
+                {"nabla_xi_xi_zero": (
+                    [(X, Y) for X in reebs for Y in reebs],
+                    lambda i, X, Y: norm(i, cov(i, X, Y)))})
+    if which == "nabla_j":
+        C0, _ = pd.nabla_J()
+
+        def nJ(i, X):
+            return np.einsum("ijm,m->ij", C0[i], val(X, i))
+
+        def closed(i, X, Y):
+            return nJ(i, X) @ val(Y, i), _nabla_j_at(pd, i, X, Y, val(X, i),
+                                                     val(Y, i))
+        names = {(1, 1): ("reference", "reference_single_beta", "koszul"),
+                 (2, 1): ("reference", "reference_beta2", "koszul")}
+        return ({f"nabla_J_X{u}_Y{v}": (
+                    [(X, Y) for X in span[u] for Y in span[v]],
+                    names.get((u, v), ("reference", "koszul")), closed)
+                 for u, v in blocks},
+                {"nabla_xiJ_zero": (
+                    [(span[1][0],), (span[2][0],)],
+                    lambda i, S: float(np.max(np.abs(
+                        pd.frames[i] @ pd.md.g0[i] @ nJ(i, S)
+                        @ pd.frames[i].T))))})
+    xi = {w: span[w][0] for w in (1, 2)}
+
+    def R(i, U, V, Z):
+        return _curv_at(pd.md, i, val(U, i), val(V, i), val(Z, i))
+
+    def closed(i, U, V, Z):
+        return R(i, U, V, Z), _curvature_at(pd, i, U, V, Z, val(U, i),
+                                            val(V, i), val(Z, i))
+
+    def own_reeb(i, U, V):
+        generic, variants = closed(i, U, V, xi[U.factor])
+        if U.factor == 1:
+            (uv, ug, _), _ = pd.jets(U)
+            (vv, vg, _), _ = pd.jets(V)
+            br = vg[i] @ uv[i] - ug[i] @ vv[i]
+            printed = -float(pd.b1[i]) * float(pd.eta1v[i] @ br) * pd.xi1v[i]
+        else:
+            phi2, xi2, _, g2, a2, b2 = _quantities(pd, i, 2)
+            phiU = phi2 @ val(U, i)
+            phi2V = phi2 @ (phi2 @ val(V, i))
+            gpp2 = float(phiU @ g2 @ phi2V)
+            gpp3 = float(phiU @ g2 @ (phi2 @ phi2V))
+            printed = _fcurv(pd, i, 2, U, V, xi[2]) + pd.P.lam * (
+                2 * a2 * b2 * gpp2 - 2 * b2 * b2 * gpp3) * xi2
+        return generic, {"reference": printed, "koszul": variants["koszul"]}
+
+    def other_reeb(i, U, V):
+        generic, variants = closed(i, U, V, xi[3 - U.factor])
+        return generic, {"reference": np.zeros(pd.P.dim),
+                         "koszul": variants["koszul"]}
+
+    pairs = {w: [(U, V) for U in span[w] if U.in_d
+                 for V in span[w] if V.in_d] for w in (1, 2)}
+    names = ("reference", "koszul")
+    families = {f"R_U{w}V{w}_Z{z}": (
+        [(U, V, Z) for U, V in pairs[w] for Z in span[z]], names, closed)
+        for w in (1, 2) for z in (1, 2)}
+    families.update({"R_U1V1_xi1": (pairs[1], names, own_reeb),
+                     "R_U1V1_xi2_zero": (pairs[1], names, other_reeb),
+                     "R_U2V2_xi1_zero": (pairs[2], names, other_reeb),
+                     "R_U2V2_xi2": (pairs[2], names, own_reeb)})
+    return families, {"R_xi1_xi2_zero": (
+        [(Z,) for Z in span[1] + span[2]],
+        lambda i, Z: norm(i, R(i, xi[1], xi[2], Z)))}
+
+
+def _oracle_adjudicate(pd, name, tol, families, zero_families):
+    """The point-major adjudication loop, one argument tuple at a time."""
+    trackers = {fam: {v: ResidualTracker(fam) for v in names}
+                for fam, (_, names, _) in families.items()}
+    zero = {fam: ResidualTracker(fam) for fam in zero_families}
+    for i, p in enumerate(pd.points):
+        for fam, (args, _, fn) in families.items():
+            for a in args:
+                generic, variants = fn(i, *a)
+                for vn, val in variants.items():
+                    trackers[fam][vn].update(float(np.max(np.abs(
+                        pd.frames[i] @ pd.md.g0[i] @ (generic - val)))), p)
+        for fam, (args, fn) in zero_families.items():
+            for a in args:
+                zero[fam].update(fn(i, *a), p)
+    best = [min(v.values(), key=lambda t: t.max) for v in trackers.values()]
+    rep = CheckReport.from_trackers(name, tol, best)
+    rep.details["variant_adjudication"] = {
+        fam: {"variants": {k: t.max for k, t in v.items()},
+              "matched": sorted(k for k, t in v.items() if t.max < tol)}
+        for fam, v in trackers.items()}
+    for t in zero.values():
+        rep.details["families"][t.name] = t.summary()
+    over = [t.max for t in zero.values() if t.max >= tol]
+    if over:
+        rep.max_residual = max(rep.max_residual, *over)
+        rep.verdict = verdict_for(rep.max_residual, tol)
+    return rep
+
+
+def _oracle_integrability(P, points, tol):
+    """The Nijenhuis loop over points and coordinate pairs, brackets from
+    geom.lie_bracket and a Gram-Schmidt frame per point."""
+    d = P.dim
+    Jcols = [geom.endo_apply_field(P.J, geom.coordinate_field(P.chart, j))
+             for j in range(d)]
+    Jv, _, _ = geom.eval_endo(JET, P.J, points)
+    md = riemann.MetricData(JET, P.G, points)
+    jac = [geom.eval_vector(JET, c, points)[1] for c in Jcols]
+    brJJ = {(i, j): geom.lie_bracket(JET, Jcols[i], Jcols[j], points)
+            for i in range(d) for j in range(i + 1, d)}
+    t = ResidualTracker("nijenhuis")
+    for ip, p in enumerate(points):
+        frame = riemann.orthonormal_frame(md.g0[ip])
+        for (i, j), br in brJJ.items():
+            N = br[ip] + Jv[ip] @ jac[i][ip][:, j] - Jv[ip] @ jac[j][ip][:, i]
+            t.update(float(np.max(np.abs(frame @ md.g0[ip] @ N))), p)
+    return CheckReport.from_trackers("integrability", tol, [t])
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _kenmotsu_beta2():
+    path = (Path(__file__).resolve().parents[1] / "manifests"
+            / "custom_kenmotsu_beta2.json")
+    return cli.load_manifest(path)["factors"]
+
+
+class TestBatchedAgainstPointwiseOracle:
+    """The batched closed-form reports against the per-point oracle."""
+
+    TOL = 1e-6
+    PAIRS = list(harmonic.TABLE1_ROWS) + ["kenmotsu_beta2"]
+    REPORTS = {"connection": connection_closed_form_report,
+               "nabla_j": nabla_J_report,
+               "curvature": curvature_closed_form_report}
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("ab", DEFAULT_AB_GRID)
+    def test_reports_match_oracle(self, pair, ab):
+        if pair == "kenmotsu_beta2":
+            F1, F2 = _kenmotsu_beta2()
+        else:
+            F1, F2 = (contact.factor_for_class(k) for k in pair)
+        P = build_product(F1, F2, *ab, validate=False)
+        points = pts(P, 8)
+        pd = product.ProductData(JET, P, points)
+        for which, report in self.REPORTS.items():
+            got = report(JET, P, points, self.TOL)
+            want = _oracle_adjudicate(pd, got.name, self.TOL,
+                                      *_oracle_tables(pd, which))
+            self.assert_same(got, want)
+            for fam, info in want.details["variant_adjudication"].items():
+                g = got.details["variant_adjudication"][fam]
+                assert g["matched"] == info["matched"], (which, fam)
+                assert list(g["variants"]) == list(info["variants"])
+                for v, m in info["variants"].items():
+                    assert _close(g["variants"][v], m), (which, fam, v)
+        self.assert_same(integrability_report(JET, P, points, self.TOL),
+                         _oracle_integrability(P, points, self.TOL))
+
+    def test_integrability_matches_oracle_for_a_generic_endomorphism(self):
+        # the built-in J depend on their coordinates in too few ways to tell
+        # every Nijenhuis term apart, so J is replaced by a polynomial field
+        # with every entry depending on two coordinates
+        P = make(SAS, KEN, a=1.0, b=1.0)
+        names, d = P.chart.names, P.dim
+        J = geom.endo_field(P.chart, [
+            [parse(f"{(i + 2 * j) % 5 - 2}*{names[j]}*{names[(i + 1) % d]}"
+                   f" + {names[i]}^2", names) for j in range(d)]
+            for i in range(d)])
+        P = dataclasses.replace(P, J=J)
+        points = pts(P, 5)
+        got = integrability_report(JET, P, points, self.TOL)
+        assert got.max_residual > 1.0
+        self.assert_same(got, _oracle_integrability(P, points, self.TOL))
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.verdict == want.verdict, got.name
+        assert _close(got.max_residual, want.max_residual), got.name
+        assert set(got.details["families"]) == set(want.details["families"])
+        for fam, info in want.details["families"].items():
+            g = got.details["families"][fam]
+            assert _close(g["max_residual"], info["max_residual"]), fam
+            assert _close(g["mean_residual"], info["mean_residual"]), fam
+            assert g["samples"] == info["samples"], fam
+            assert g["worst_point"] == info["worst_point"], fam
+
+
+CLASSES = ("sasakian", "kenmotsu", "cosymplectic")
+
+
+@settings(max_examples=12, deadline=None)
+@given(k1=st.sampled_from(CLASSES), k2=st.sampled_from(CLASSES),
+       a=st.floats(-3.0, 3.0), b=st.floats(0.25, 3.0),
+       sign=st.sampled_from((1.0, -1.0)), seed=st.integers(0, 2 ** 16))
+def test_koszul_matches_the_generic_computation_everywhere(k1, k2, a, b,
+                                                           sign, seed):
+    """README: the koszul variants match the oracle on the built-in models."""
+    P = build_product(contact.factor_for_class(k1),
+                      contact.factor_for_class(k2), a, sign * b,
+                      validate=False)
+    points = sample_points(P.chart, 6, seed)
+    for report in (connection_closed_form_report, nabla_J_report,
+                   curvature_closed_form_report):
+        rep = report(JET, P, points, 1e-6)
+        for fam, info in rep.details["variant_adjudication"].items():
+            assert "koszul" in info["matched"], (rep.name, fam, info)

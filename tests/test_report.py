@@ -44,3 +44,12 @@ def test_clear_gain_moves_the_worst_point():
     big = _feed([1e6, 1e6 + 1e-7, 1e6 + 2e-6])
     assert big.worst_point == (2.0,)  # the threshold is relative above 1
     assert _feed([1e6, 1e6 + 1e-7]).worst_point == (0.0,)
+
+
+def test_samples_count_updates_not_components():
+    t = ResidualTracker("family")
+    t.update(1.0, [0.0])
+    t.update_many([1.0, 2.0, 3.0], [1.0])
+    assert (t.samples, t.count) == (2, 4)
+    assert t.summary()["samples"] == 2
+    assert ResidualTracker("empty").summary()["samples"] == 0
