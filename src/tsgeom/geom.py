@@ -245,7 +245,7 @@ class KFormValue:
 
     dim: int
     degree: int
-    comps: np.ndarray  # length C(dim, degree)
+    comps: np.ndarray  # length C(dim, degree), after any leading axes
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,10 @@ def _perm_sign(seq):
 
 
 def wedge_values(alpha: KFormValue, beta: KFormValue) -> KFormValue:
-    """Alternating wedge with shuffle signs on increasing-index storage."""
+    """Alternating wedge with shuffle signs on increasing-index storage.
+
+    The components may carry leading (points) axes, (..., C) each.
+    """
     if alpha.dim != beta.dim:
         raise ChartMismatch("wedge of forms on different spaces")
     dim = alpha.dim
@@ -294,17 +297,19 @@ def wedge_values(alpha: KFormValue, beta: KFormValue) -> KFormValue:
         raise DegreeOverflow(f"wedge degree {k}+{l} exceeds dimension {dim}")
     out_idx = form_indices(dim, k + l)
     pos = {idx: i for i, idx in enumerate(out_idx)}
-    comps = np.zeros(len(out_idx))
+    a, b = np.asarray(alpha.comps), np.asarray(beta.comps)
+    comps = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                     + (len(out_idx),))
     aidx = form_indices(dim, k)
     bidx = form_indices(dim, l)
     for ia, I in enumerate(aidx):
-        if alpha.comps[ia] == 0.0:
+        if not np.any(a[..., ia]):
             continue
         for ib, Jw in enumerate(bidx):
             sign, merged = _perm_sign(I + Jw)
             if sign == 0:
                 continue
-            comps[pos[merged]] += sign * alpha.comps[ia] * beta.comps[ib]
+            comps[..., pos[merged]] += sign * a[..., ia] * b[..., ib]
     return KFormValue(dim, k + l, comps)
 
 

@@ -548,14 +548,6 @@ def curvature_variants(pd: ProductData, U: SpanField, V: SpanField,
 # Reports
 # ---------------------------------------------------------------------------
 
-def _point_major(name, r, points):
-    """A tracker fed r[argument, point] point by point, arguments in order
-    within a point."""
-    r = np.asarray(r).reshape(-1, points.shape[0])
-    return ResidualTracker.from_points(name, r.T.ravel(),
-                                       np.repeat(points, r.shape[0], 0))
-
-
 def _adjudicate(pd: ProductData, name, tol, families, zero_families):
     """Residuals of every family over the points, as one report.
 
@@ -578,9 +570,9 @@ def _adjudicate(pd: ProductData, name, tol, families, zero_families):
             for vn, val in variants.items():
                 res[vn].append(
                     riemann.vector_residual_norm(g0, frames, generic - val))
-        trackers[fam] = {v: _point_major(fam, r, pd.points)
+        trackers[fam] = {v: ResidualTracker.point_major(fam, r, pd.points)
                          for v, r in res.items()}
-    zero = [_point_major(fam, [fn(*a) for a in args], pd.points)
+    zero = [ResidualTracker.point_major(fam, [fn(*a) for a in args], pd.points)
             for fam, (args, fn) in zero_families.items()]
 
     best = [min(v.values(), key=lambda t: t.max) for v in trackers.values()]
@@ -744,7 +736,7 @@ def integrability_report(ev: Evaluator, P: ProductHermitian, points, tol
     N = (A - A.swapaxes(2, 3) + np.einsum("pkl,plij->pkij", Jv, Jg)
          - np.einsum("pkl,plji->pkij", Jv, Jg))
     pairs = zip(*np.triu_indices(d, 1))
-    t = _point_major("nijenhuis", [
+    t = ResidualTracker.point_major("nijenhuis", [
         riemann.vector_residual_norm(md.g0, frames, N[:, :, i, j])
         for i, j in pairs], pts)
     rep = CheckReport.from_trackers("integrability", tol, [t])

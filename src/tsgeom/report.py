@@ -83,14 +83,32 @@ class ResidualTracker:
             feed(v, p)
         return t
 
+    @classmethod
+    def point_major(cls, name, r, points, keep=None):
+        """A tracker fed r[argument, point, ...] point by point, arguments
+        in order within a point. Axes after the points axis are the
+        components of one sample (see from_points); keep[argument, point],
+        when given, drops the samples where it is False."""
+        if len(r) == 0:
+            return cls(name)
+        r = np.asarray(r, dtype=float)
+        vals = r.swapaxes(0, 1).reshape((-1,) + r.shape[2:])
+        pts = np.repeat(points, r.shape[0], 0)
+        if keep is not None:
+            k = np.asarray(keep).swapaxes(0, 1).ravel()
+            vals, pts = vals[k], pts[k]
+        return cls.from_points(name, vals, pts)
+
     def update_many(self, values, point=None):
-        arr = np.atleast_1d(np.asarray(values, dtype=float)).ravel()
+        arr = np.abs(np.asarray(values, dtype=float)).ravel()
         if arr.size == 0:
             return
-        self.update(float(np.max(np.abs(arr))), point)
+        top = float(np.max(arr))
+        self.update(top, point)  # a non-finite top enters the total as inf
         # count every component toward the mean
         self.count += arr.size - 1
-        self.total += float(np.sum(np.abs(arr))) - float(np.max(np.abs(arr)))
+        if math.isfinite(top):
+            self.total += float(np.sum(arr)) - top
 
     @property
     def mean(self):

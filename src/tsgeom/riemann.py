@@ -106,8 +106,15 @@ def christoffel(ev: Evaluator, g: MetricField, p) -> np.ndarray:
 
 def curvature_values(md: MetricData, i, X, Y, Z) -> np.ndarray:
     """R(X, Y) Z from vector values at point index i of md, or at every
-    point for i = ... with (p, d) stacks X, Y, Z."""
-    return np.einsum("...lkij,...i,...j,...k->...l", md.riemann()[i], X, Y, Z)
+    point for i = ... with (p, d) stacks X, Y, Z.
+
+    One matrix product per argument, contracting j, then i, then k.
+    """
+    r = md.riemann()[i]
+    lead, d = r.shape[:-4], r.shape[-1]
+    t = r.reshape(lead + (d ** 3, d)) @ Y[..., None]
+    t = t.reshape(lead + (d * d, d)) @ X[..., None]
+    return (t.reshape(lead + (d, d)) @ Z[..., None])[..., 0]
 
 
 def covariant_derivative_vector(ev: Evaluator, g: MetricField, X: VectorField,
@@ -130,19 +137,21 @@ def cov_vector_at(md: MetricData, i, Xval, Yval, Ygrad) -> np.ndarray:
 
 
 def cov_vector_jet(md: MetricData, i, Xval, Xgrad, Yval, Ygrad, Yhess):
-    """nabla_X Y at point index i, with its first derivatives.
+    """nabla_X Y at point index i, or at every point for i = ..., with its
+    first derivatives.
 
     Returns (W, dW) with W^k and dW[k, n] = d_n W^k; X, Y enter as
-    (value, gradient[, Hessian]) data of vector fields at the point.
+    (value, gradient[, Hessian]) data of vector fields at the point, or as
+    (p, d), (p, d, d) and (p, d, d, d) stacks.
     """
     G0 = md.gamma0[i]
     G1 = md.gamma1[i]
-    inner = Ygrad + np.einsum("kij,j->ki", G0, Yval)  # d_i Y^k + Gamma Y
-    W = inner @ Xval
-    dW = (np.einsum("in,ki->kn", Xgrad, inner)
-          + np.einsum("i,kin->kn", Xval, Yhess)
-          + np.einsum("i,kijn,j->kn", Xval, G1, Yval)
-          + np.einsum("i,kij,jn->kn", Xval, G0, Ygrad))
+    inner = Ygrad + np.einsum("...kij,...j->...ki", G0, Yval)  # d_i Y^k + Gamma Y
+    W = np.einsum("...ki,...i->...k", inner, Xval)
+    dW = (np.einsum("...in,...ki->...kn", Xgrad, inner)
+          + np.einsum("...i,...kin->...kn", Xval, Yhess)
+          + np.einsum("...i,...kijn,...j->...kn", Xval, G1, Yval)
+          + np.einsum("...i,...kij,...jn->...kn", Xval, G0, Ygrad))
     return W, dW
 
 

@@ -329,13 +329,6 @@ class TestAdjudication:
         assert got == self.expected(ab[0])
 
 
-def test_point_major_feed_pairs_each_value_with_its_point():
-    # r[argument, point]: the largest value is argument 0 at point 1
-    t = product._point_major("family", [[0.0, 5.0], [1.0, 0.0]],
-                             np.array([[10.0], [20.0]]))
-    assert (t.max, t.worst_point, t.samples) == (5.0, (20.0,), 4)
-
-
 class TestIntegrabilitySamples:
     def test_one_sample_per_point_and_coordinate_pair(self):
         P = make(SAS, KEN, a=1.0, b=2.0)

@@ -1,5 +1,7 @@
 import math
 
+import numpy as np
+
 from tsgeom.report import CheckReport, ResidualTracker
 
 
@@ -53,3 +55,34 @@ def test_samples_count_updates_not_components():
     assert (t.samples, t.count) == (2, 4)
     assert t.summary()["samples"] == 2
     assert ResidualTracker("empty").summary()["samples"] == 0
+
+
+def test_nan_component_counts_as_inf_in_max_and_mean():
+    one = ResidualTracker("family")
+    one.update(float("nan"), [0.0])
+    many = ResidualTracker("family")
+    many.update_many([1.0, float("nan")], [0.0])
+    for t in (one, many):
+        assert t.max == t.mean == math.inf
+
+
+def test_point_major_feed_pairs_each_value_with_its_point():
+    # r[argument, point]: the largest value is argument 0 at point 1
+    t = ResidualTracker.point_major("family", [[0.0, 5.0], [1.0, 0.0]],
+                                    np.array([[10.0], [20.0]]))
+    assert (t.max, t.worst_point, t.samples) == (5.0, (20.0,), 4)
+
+
+def test_point_major_components_and_skip_mask():
+    # r[argument, point, component]; argument 1 is dropped at point 0
+    r = np.array([[[1.0, -2.0], [0.5, 0.5]],
+                  [[9.0, 9.0], [3.0, 4.0]]])
+    keep = np.array([[True, True], [False, True]])
+    points = np.array([[10.0], [20.0]])
+    t = ResidualTracker.point_major("family", r, points, keep)
+    want = ResidualTracker("family")
+    for v, p in (([1.0, -2.0], [10.0]), ([0.5, 0.5], [20.0]),
+                 ([3.0, 4.0], [20.0])):
+        want.update_many(v, p)
+    assert t.summary() == want.summary()
+    assert (t.samples, t.count, t.worst_point) == (3, 6, (20.0,))

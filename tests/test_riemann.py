@@ -107,6 +107,31 @@ class TestCurvature:
             b = curvature_via_definition(JET, WG, X, Y, Z, p)
             assert np.max(np.abs(a - b)) < 1e-7
 
+    def test_curvature_values_matches_the_einsum(self):
+        rng = np.random.default_rng(3)
+        riem = rng.normal(size=(32, 6, 6, 6, 6))
+        md = type("Stub", (), {"riemann": lambda self: riem})()
+        X, Y, Z = rng.normal(size=(3, 32, 6))
+        want = np.einsum("plkij,pi,pj,pk->pl", riem, X, Y, Z)
+        got = riemann.curvature_values(md, ..., X, Y, Z)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1, np.abs(want)))
+        one = riemann.curvature_values(md, 5, X[5], Y[5], Z[5])
+        assert np.all(np.abs(one - want[5]) <= 1e-12 * np.maximum(1, np.abs(want[5])))
+
+    def test_cov_vector_jet_over_points_equals_single_calls(self):
+        pts = geom.sample_points(WARPED, 6, seed=2)
+        md = MetricData(JET, WG, pts)
+        Y = vector_field(WARPED, [parse(c, WARPED.names) for c in ["x*y", "t", "exp(t)"]])
+        X = vector_field(WARPED, [parse(c, WARPED.names) for c in ["1", "y*y", "t*x"]])
+        xv, xg, _ = geom.eval_vector(JET, X, pts)
+        yv, yg, yh = geom.eval_vector(JET, Y, pts)
+        W, dW = riemann.cov_vector_jet(md, ..., xv, xg, yv, yg, yh)
+        for i in range(len(pts)):
+            w, dw = riemann.cov_vector_jet(md, i, xv[i], xg[i], yv[i], yg[i], yh[i])
+            assert np.allclose(W[i], w, rtol=1e-13, atol=1e-13)
+            assert np.allclose(dW[i], dw, rtol=1e-13, atol=1e-13)
+
     def test_first_bianchi(self):
         pts = geom.sample_points(WARPED, 100, seed=13)
         md = MetricData(JET, WG, pts)
