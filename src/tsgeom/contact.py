@@ -538,8 +538,9 @@ def transverse_properties_report(ev: Evaluator, F: TransSasakianFactor,
     U1 = [td.jets(U)[1] for U in dspan]
     phiU0 = [_apply(phi, u) for u in U0]
     upper = [(u, v) for u in range(n) for v in range(u, n)]
-    dg = {(u, v): ev.jet(geom.metric_pair_field(S.g, dspan[u], dspan[v]),
-                         pts).grad for u, v in upper}
+    pair_jets = ev.jets([geom.metric_pair_field(S.g, dspan[u], dspan[v])
+                         for u, v in upper], pts)
+    dg = {uv: j.grad for uv, j in zip(upper, pair_jets)}
     # NT[x][u] = nabla^T_{X_x} U_u over the span
     NT = [[td.nabla_T_value(X, U) for U in dspan] for X in U0]
 

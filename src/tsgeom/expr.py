@@ -12,7 +12,9 @@ oracle for the jet engine; it is selected per run, never mixed per call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -537,6 +539,8 @@ def eval_jet_batch(e: Expression, points: np.ndarray) -> Jet2:
             if float(expo).is_integer() and abs(expo) <= _POW_MUL_LIMIT:
                 return base.powi(int(expo), points)
             # exp(e * log(base)); requires a positive base
+            if np.any(base.value <= 0.0):
+                raise EvalDomainError("^", _first_bad(points, base.value <= 0.0))
             lg = base.log(points)
             scaled = Jet2(lg.value * expo, lg.grad * expo, lg.hess * expo)
             return scaled.exp()
@@ -621,46 +625,81 @@ def eval_jet(e: Expression, p) -> Jet2:
 # Finite-difference oracle mode
 # ---------------------------------------------------------------------------
 
-def _fd_gradient(f, points, h):
-    d = points.shape[-1]
-    grad = np.zeros(points.shape[:-1] + (d,))
-    for i in range(d):
-        dp = np.zeros(d)
-        dp[i] = h
-        grad[..., i] = (f(points + dp) - f(points - dp)) / (2.0 * h)
-    return grad
+def _gradient_points(q, h):
+    """The 4d points of a Richardson gradient around q (..., d).
+
+    Returns (..., 4d, d): q + h e_j, q - h e_j, q + (h/2) e_j, q - (h/2) e_j
+    for j = 0..d-1, in that block order.
+    """
+    d = q.shape[-1]
+    full = np.diag(np.full(d, h))
+    half = np.diag(np.full(d, h / 2.0))
+    # IEEE defines q - t as q + (-t), so the negated offsets give exactly
+    # the points that subtracting them would
+    out = np.repeat(q[..., None, :], 4 * d, axis=-2)
+    out += np.concatenate([full, -full, half, -half])
+    return out
+
+
+def _richardson_gradient(f, h):
+    """(4 D(h/2) - D(h)) / 3 from the values f (..., 4d) at _gradient_points."""
+    d = f.shape[-1] // 4
+    g1 = (f[..., :d] - f[..., d:2 * d]) / (2.0 * h)
+    g2 = (f[..., 2 * d:3 * d] - f[..., 3 * d:]) / (2.0 * (h / 2.0))
+    return (4.0 * g2 - g1) / 3.0
+
+
+class FdStencil:
+    """Richardson central-difference stencil of one point set.
+
+    The gradient uses (4 D(h/2) - D(h)) / 3 on second-order central
+    differences (fourth-order accurate); the Hessian applies the same scheme
+    to the gradient map. For points (..., d) that takes 1 + 4d + 16d^2
+    values per expression. Each expression is walked over the stencil six
+    times: the points themselves, the 4d gradient points, and the gradient
+    points around each of the four base shifts (+h, -h, +h/2, -h/2) along
+    every axis, as (..., d, 4d, d) blocks. The shifted points are built on
+    the first non-constant expression and then shared by the rest.
+
+    Every stencil point is built as (points + s e_i) + t e_j, and the
+    differences are combined in the same order as a point-by-point walk.
+    """
+
+    def __init__(self, points, step):
+        self.points = np.asarray(points, dtype=float)
+        self.step = step
+
+    @cached_property
+    def grad_points(self):
+        return _gradient_points(self.points, self.step)
+
+    @cached_property
+    def hess_blocks(self):
+        d = self.points.shape[-1]
+        return [_gradient_points(self.grad_points[..., k * d:(k + 1) * d, :],
+                                 self.step)
+                for k in range(4)]
+
+    def jet(self, e: Expression) -> Jet2:
+        pts, h = self.points, self.step
+        if isinstance(e, Const) and math.isfinite(e.value):
+            return Jet2.constant(e.value, pts.shape[:-1], pts.shape[-1])
+        # the centre gets its own walk, so a domain error names a sample point
+        v = eval_value(e, pts)
+        g = _richardson_gradient(eval_value(e, self.grad_points), h)
+        plus, minus, half_plus, half_minus = (
+            _richardson_gradient(eval_value(e, block), h)
+            for block in self.hess_blocks)
+        row1 = (plus - minus) / (2.0 * h)
+        row2 = (half_plus - half_minus) / h
+        hess = (4.0 * row2 - row1) / 3.0
+        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        return Jet2(v, g, hess)
 
 
 def eval_fd(e: Expression, p, step=1e-3) -> Jet2:
-    """Jet via Richardson-extrapolated central differences.
-
-    The gradient uses (4 D(h/2) - D(h)) / 3 on second-order central
-    differences (fourth-order accurate); the Hessian applies the same
-    scheme to the gradient map.
-    """
-    points = np.asarray(p, dtype=float)
-
-    def value(q):
-        return eval_value(e, q)
-
-    def grad_at(q, h):
-        g1 = _fd_gradient(value, q, h)
-        g2 = _fd_gradient(value, q, h / 2.0)
-        return (4.0 * g2 - g1) / 3.0
-
-    d = points.shape[-1]
-    v = value(points)
-    g = grad_at(points, step)
-    hess = np.zeros(points.shape[:-1] + (d, d))
-    for i in range(d):
-        dp = np.zeros(d)
-        dp[i] = step
-        row1 = (grad_at(points + dp, step) - grad_at(points - dp, step)) / (2.0 * step)
-        dp[i] = step / 2.0
-        row2 = (grad_at(points + dp, step) - grad_at(points - dp, step)) / step
-        hess[..., i, :] = (4.0 * row2 - row1) / 3.0
-    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-    return Jet2(v, g, hess)
+    """Jet via Richardson-extrapolated central differences (see FdStencil)."""
+    return FdStencil(p, step).jet(e)
 
 
 @dataclass(frozen=True)
@@ -670,10 +709,23 @@ class Evaluator:
     mode: str = "jet"
     fd_step: float = 1e-3
 
-    def jet(self, e: Expression, points) -> Jet2:
+    def jets(self, exprs, points) -> list:
+        """Jets of several expressions at the same points.
+
+        In fd mode the stencil of the points is built once and shared.
+        """
+        pts = np.asarray(points, dtype=float)
+        stencil = FdStencil(pts, self.fd_step) if self.mode == "fd" else None
+        # one jet() call per expression: perfbench's tracer counts those
+        return [self.jet(e, pts, stencil=stencil) for e in exprs]
+
+    def jet(self, e: Expression, points, *, stencil=None) -> Jet2:
+        """Jet of one expression; stencil is a prebuilt FdStencil of points."""
         pts = np.asarray(points, dtype=float)
         if self.mode == "fd":
-            return eval_fd(e, pts, self.fd_step)
+            if stencil is None:
+                stencil = FdStencil(pts, self.fd_step)
+            return stencil.jet(e)
         return eval_jet_batch(e, pts)
 
     def value(self, e: Expression, points):

@@ -182,7 +182,7 @@ def _eval_comps(ev: Evaluator, comps, points):
         flat = [e for row in flat for e in row]
     unique = {}
     slots = [unique.setdefault(e, len(unique)) for e in flat]
-    jets = [ev.jet(e, pts) for e in unique]
+    jets = ev.jets(unique, pts)
     base, d = pts.shape[:-1], pts.shape[-1]
     val = np.empty(base + shape)
     grad = np.empty(base + shape + (d,))

@@ -1,12 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsgeom import expr
+from tsgeom import cli, contact, expr, geom
 from tsgeom.expr import (
     Binary, Const, Coord, Evaluator, EvalDomainError, ParseError, Unary,
-    UnknownIdentifier, eval_fd, eval_jet, parse, render_named,
+    UnknownIdentifier, eval_fd, eval_jet, eval_value, parse, render_named,
 )
 
 
@@ -216,6 +217,165 @@ class TestFdOracle:
         assert jfd.value == pytest.approx(jjet.value)
         assert jfd.grad == pytest.approx(jjet.grad, abs=1e-9)
         assert jfd.hess == pytest.approx(jjet.hess, abs=1e-8)
+
+    def test_non_integer_power_domain_error_same_in_both_modes(self):
+        e = parse("x^0.5 + y", ["x", "y"])
+        for p in ([-1.0, 0.2], [[0.5, 0.1], [-1.0, 0.2], [0.0, 0.3]]):
+            errs = []
+            for mode in ("jet", "fd"):
+                with pytest.raises(EvalDomainError) as err:
+                    Evaluator(mode).jet(e, np.array(p))
+                errs.append((err.value.op, err.value.point))
+            assert errs[0] == errs[1] == ("^", (-1.0, 0.2))
+
+
+# ---------------------------------------------------------------------------
+# The point-by-point finite-difference walk that FdStencil replaced, kept as
+# an oracle: one eval_value walk per stencil point (1 + 4d + 16d^2 walks).
+# ---------------------------------------------------------------------------
+
+def _oracle_fd_gradient(f, points, h):
+    d = points.shape[-1]
+    grad = np.zeros(points.shape[:-1] + (d,))
+    for i in range(d):
+        dp = np.zeros(d)
+        dp[i] = h
+        grad[..., i] = (f(points + dp) - f(points - dp)) / (2.0 * h)
+    return grad
+
+
+def oracle_eval_fd(e, p, step=1e-3):
+    points = np.asarray(p, dtype=float)
+
+    def value(q):
+        return eval_value(e, q)
+
+    def grad_at(q, h):
+        g1 = _oracle_fd_gradient(value, q, h)
+        g2 = _oracle_fd_gradient(value, q, h / 2.0)
+        return (4.0 * g2 - g1) / 3.0
+
+    d = points.shape[-1]
+    v = value(points)
+    g = grad_at(points, step)
+    hess = np.zeros(points.shape[:-1] + (d, d))
+    for i in range(d):
+        dp = np.zeros(d)
+        dp[i] = step
+        row1 = (grad_at(points + dp, step) - grad_at(points - dp, step)) / (2.0 * step)
+        dp[i] = step / 2.0
+        row2 = (grad_at(points + dp, step) - grad_at(points - dp, step)) / step
+        hess[..., i, :] = (4.0 * row2 - row1) / 3.0
+    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    return expr.Jet2(v, g, hess)
+
+
+def _assert_bitwise(got, want):
+    for part in ("value", "grad", "hess"):
+        a, b = np.asarray(getattr(got, part)), np.asarray(getattr(want, part))
+        assert a.shape == b.shape, part
+        assert np.array_equal(a, b), (part, float(np.max(np.abs(a - b))))
+
+
+def _factor_components():
+    """Every component expression of the built-in factors and kenmotsu_beta2."""
+    path = (Path(__file__).resolve().parents[1] / "manifests"
+            / "custom_kenmotsu_beta2.json")
+    factors = [contact.builtin_factor(n) for n in contact.BUILTIN_NAMES]
+    factors.append(cli.load_manifest(path)["factors"][1])
+    out = []
+    for F in factors:
+        S = F.structure
+        comps = [F.alpha, F.beta, *S.xi.comps, *S.eta.comps]
+        comps += [c for row in S.phi.comps + S.g.comps for c in row]
+        out.append((S.name, F.chart, comps))
+    return out
+
+
+class TestFdStencilAgainstOracle:
+    """FdStencil reproduces the point-by-point walk bit for bit."""
+
+    SOURCES = TestFdOracle.SOURCES + ["x^0.5", "log(x + 2)", "-(x*y)", "2.5"]
+    SHAPES = [(3,), (5, 3), (2, 5, 3)]
+
+    @pytest.mark.parametrize("step", [1e-3, 1e-2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_expressions(self, src, shape, step):
+        e = parse(src, ["x", "y", "z"])
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            p = rng.uniform(0.1, 1.0, size=shape)
+            want = oracle_eval_fd(e, p, step)
+            _assert_bitwise(eval_fd(e, p, step), want)
+            _assert_bitwise(Evaluator("fd", step).jets((e,), p)[0], want)
+
+    @pytest.mark.parametrize("name, chart, comps", _factor_components(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_factor_components(self, name, chart, comps):
+        p = geom.sample_points(chart, 16, seed=5)
+        for step in (1e-3, 1e-2):
+            got = Evaluator("fd", step).jets(comps, p)
+            for e, j in zip(comps, got):
+                _assert_bitwise(j, oracle_eval_fd(e, p, step))
+
+    def test_six_walks_per_expression_and_none_for_constants(self, monkeypatch):
+        calls = []
+        original = expr.eval_value
+
+        def counting(e, points):
+            calls.append(e)
+            return original(e, points)
+
+        monkeypatch.setattr(expr, "eval_value", counting)
+        e = parse("x*y + sin(x)", ["x", "y"])  # six nodes
+        p = np.array([[0.3, 0.4], [0.5, -0.2]])
+        Evaluator("fd").jets((e, Const(2.0)), p)
+        assert len(calls) == 6 * 6
+        assert sum(c is e for c in calls) == 6
+
+    def test_one_stencil_per_field_evaluation(self, monkeypatch):
+        built = []
+        original = expr._gradient_points
+
+        def counting(q, h):
+            built.append(q.shape)
+            return original(q, h)
+
+        monkeypatch.setattr(expr, "_gradient_points", counting)
+        F = contact.builtin_factor("kenmotsu_warped")
+        p = geom.sample_points(F.chart, 4, seed=1)
+        ev = Evaluator("fd")
+        geom.eval_metric(ev, F.structure.g, p)
+        # the gradient points, then the four Hessian blocks around them
+        assert built == [(4, 3)] + [(4, 3, 3)] * 4
+        built.clear()
+        geom.eval_vector(ev, F.structure.xi, p)  # constant components
+        assert built == []
+
+    def test_domain_error_at_a_sample_point_matches_oracle(self):
+        e = parse("log(x)", ["x", "y"])
+        p = np.array([[0.5, 0.1], [-1.0, 0.2], [0.7, 0.3]])
+        with pytest.raises(EvalDomainError) as want:
+            oracle_eval_fd(e, p)
+        with pytest.raises(EvalDomainError) as got:
+            Evaluator("fd").jets((e,), p)
+        assert (got.value.op, got.value.point) == (want.value.op,
+                                                   want.value.point)
+        assert got.value.point == (-1.0, 0.2)
+
+    def test_domain_error_on_the_stencil_names_a_stencil_point(self):
+        e = parse("sqrt(x)", ["x", "y"])
+        p = np.array([[0.5, 0.1], [0.0, 0.2]])
+        step = 1e-3
+        with pytest.raises(EvalDomainError) as err:
+            eval_fd(e, p, step)
+        assert err.value.op == "sqrt"
+        bad = np.array(err.value.point)
+        assert bad[0] < 0.0
+        offset = bad - p[1]
+        assert np.count_nonzero(offset) <= 2
+        assert np.all(np.abs(offset) <= 2.0 * step)
 
 
 class TestBuilders:
