@@ -512,7 +512,14 @@ def _first_bad(point, mask):
 
 
 def eval_jet_batch(e: Expression, points: np.ndarray) -> Jet2:
-    """Evaluate at points of shape (..., d); returns batched Jet2."""
+    """Evaluate at points of shape (..., d); returns batched Jet2.
+
+    A bare point (d,) is evaluated as a one-row batch, so that it rounds
+    exactly as the same point does inside a batch.
+    """
+    if points.ndim == 1:
+        j = eval_jet_batch(e, points[None])
+        return Jet2(j.value[0], j.grad[0], j.hess[0])
     if isinstance(e, Const):
         return Jet2.constant(e.value, points.shape[:-1], points.shape[-1])
     if isinstance(e, Coord):
@@ -536,14 +543,21 @@ def eval_jet_batch(e: Expression, points: np.ndarray) -> Jet2:
         if e.op == "^":
             base = eval_jet_batch(e.left, points)
             expo = e.right.value
-            if float(expo).is_integer() and abs(expo) <= _POW_MUL_LIMIT:
+            integer = float(expo).is_integer()
+            if integer and abs(expo) <= _POW_MUL_LIMIT:
                 return base.powi(int(expo), points)
-            # exp(e * log(base)); requires a positive base
-            if np.any(base.value <= 0.0):
-                raise EvalDomainError("^", _first_bad(points, base.value <= 0.0))
-            lg = base.log(points)
-            scaled = Jet2(lg.value * expo, lg.grad * expo, lg.hess * expo)
-            return scaled.exp()
+            pos = _pow_domain(base.value, expo, integer, points)
+            # exp(e * log(base)) where the base is positive
+            lg = Jet2(np.where(pos, base.value, 1.0), base.grad,
+                      base.hess).log(points)
+            out = Jet2(lg.value * expo, lg.grad * expo, lg.hess * expo).exp()
+            if pos.all():
+                return out
+            # an integer power of a non-positive base: repeated products
+            mul = base.powi(int(expo), points)
+            return Jet2(np.where(pos, out.value, mul.value),
+                        np.where(pos[..., None], out.grad, mul.grad),
+                        np.where(pos[..., None, None], out.hess, mul.hess))
         a = eval_jet_batch(e.left, points)
         b = eval_jet_batch(e.right, points)
         if e.op == "+":
@@ -564,8 +578,27 @@ def Coord_eval(e, points):
     return Jet2.coordinate(e.index, points)
 
 
+def _pow_domain(base, expo, integer, points):
+    """Where base^expo takes the exp-log route: the mask of positive bases.
+
+    A non-integer power needs a positive base everywhere, and a negative
+    integer power a non-zero one; anything else raises EvalDomainError('^').
+    """
+    pos = base > 0.0
+    bad = ~pos if not integer else (base == 0.0) & (expo < 0)
+    if np.any(bad):
+        raise EvalDomainError("^", _first_bad(points, bad))
+    return pos
+
+
 def eval_value(e: Expression, points: np.ndarray):
-    """Plain value evaluation (no derivatives); used by the FD oracle."""
+    """Plain value evaluation (no derivatives); used by the FD oracle.
+
+    A bare point (d,) is evaluated as a one-row batch, so that it rounds
+    exactly as the same point does inside a batch.
+    """
+    if points.ndim == 1:
+        return eval_value(e, points[None])[0]
     if isinstance(e, Const):
         return np.full(points.shape[:-1], e.value)
     if isinstance(e, Coord):
@@ -592,11 +625,12 @@ def eval_value(e: Expression, points: np.ndarray):
         if e.op == "^":
             a = eval_value(e.left, points)
             expo = e.right.value
-            if float(expo).is_integer() and abs(expo) <= _POW_MUL_LIMIT:
+            integer = float(expo).is_integer()
+            if integer and abs(expo) <= _POW_MUL_LIMIT:
                 return a ** int(expo)
-            if np.any(a <= 0.0):
-                raise EvalDomainError("^", _first_bad(points, a <= 0.0))
-            return np.exp(expo * np.log(a))
+            pos = _pow_domain(a, expo, integer, points)
+            out = np.exp(expo * np.log(np.where(pos, a, 1.0)))
+            return out if pos.all() else np.where(pos, out, a ** int(expo))
         a = eval_value(e.left, points)
         b = eval_value(e.right, points)
         if e.op == "+":

@@ -45,17 +45,12 @@ INCONCLUSIVE_H = "inconclusive"
 # Each helper returns arrays with a leading points axis; frames are the
 # (p, n, d) stacks of ProductData.frames.
 
-def _along(C0, v):
-    """(nabla_v J) at every point, for a vector stack v (p, d)."""
-    return np.einsum("pijm,pm->pij", C0, v)
-
-
 def _frame_sum_delta(C0, frames):
     """sum_a (nabla_{u_a} J) u_a over the frame rows, added in frame order."""
     total = 0.0
     for a in range(frames.shape[1]):
         u = frames[:, a]
-        total = total + np.einsum("pij,pj->pi", _along(C0, u), u)
+        total = total + np.einsum("pij,pj->pi", riemann.along(C0, u), u)
     return total
 
 
@@ -92,7 +87,7 @@ def nabla_deltaJ_J(pd: ProductData, delta=None):
     if delta is None:
         delta, _ = codifferential_J(pd)
     C0, _ = pd.nabla_J()
-    return _along(C0, delta)
+    return riemann.along(C0, delta)
 
 
 def chern_ricci_P(pd: ProductData):
@@ -251,7 +246,7 @@ def dirichlet_energy_density(pd: ProductData):
     g0, frames = pd.md.g0, pd.frames
     total = 0.0
     for a in range(frames.shape[1]):
-        W = _along(C0, frames[:, a]) @ frames.swapaxes(1, 2)  # columns nJ v
+        W = riemann.along(C0, frames[:, a]) @ frames.swapaxes(1, 2)  # columns nJ v
         total = total + ((g0 @ W) * W).sum(axis=(1, 2))
     return total
 

@@ -632,7 +632,7 @@ def nabla_J_report(ev: Evaluator, P: ProductHermitian, points, tol
     C0, _ = pd.nabla_J()
 
     def nabla_XJ(X):
-        return np.einsum("pijm,pm->pij", C0, pd.jets(X)[0][0])
+        return riemann.along(C0, pd.jets(X)[0][0])
 
     def closed(X, Y):
         return nabla_XJ(X) @ pd.column(Y), nabla_j_variants(

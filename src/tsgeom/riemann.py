@@ -8,9 +8,19 @@ Index conventions, batched over a leading points axis where present:
     g0[..., i, j]               metric
     g1[..., i, j, m] = d_m g_ij
     g2[..., i, j, m, n]
+    ginv0[..., i, j]            inverse metric g^ij
+    ginv1[..., i, j, m] = d_m g^ij
     gamma0[..., k, i, j]        Christoffel symbols, symmetric in (i, j)
     gamma1[..., k, i, j, m] = d_m Gamma^k_ij
     riem[..., l, k, i, j]       R(d_i, d_j) d_k = riem[l,k,i,j] d_l
+    C0[..., i, j, m]            (nabla_{d_m} A)^i_j of an endomorphism A
+    C1[..., i, j, m, n] = d_n C0
+
+MetricData holds g0 ... gamma1 and riemann() returns riem, each of shape
+(p, d, ...) with the points axis first; nabla_endo_all returns C0 and C1.
+All of them are C-contiguous in the index order above. The contractions
+that build them are batched matrix products over the points axis, so a
+later product over the trailing indices reads them with unit stride.
 
 Frames are (n, d) arrays whose rows are the frame vectors, so iterating,
 len and slicing walk the vectors, and a residual norm is one product with
@@ -53,8 +63,7 @@ class MetricData:
 
     def __init__(self, ev: Evaluator, g: MetricField, points):
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
+        if pts.ndim == 1:
             pts = pts[None, :]
         self.points = pts
         self.g0, self.g1, self.g2 = geom.eval_metric(ev, g, pts)
@@ -62,21 +71,27 @@ class MetricData:
         worst = int(np.argmin(eigs[:, 0]))
         if eigs[worst, 0] <= _EIG_FLOOR:
             raise SingularMetric(pts[worst], eigs[worst, 0])
-        self.ginv0 = np.linalg.inv(self.g0)
-        # d(g^-1) = -g^-1 (dg) g^-1
-        self.ginv1 = -np.einsum("pia,pabm,pbj->pijm", self.ginv0, self.g1, self.ginv0)
+        p, d = pts.shape[0], self.dim
+        gi = self.ginv0 = np.linalg.inv(self.g0)
+        # d_m(g^-1) = -g^-1 (d_m g) g^-1, one product per derivative axis m
+        dgi = gi[:, None] @ np.moveaxis(self.g1, 3, 1) @ gi[:, None]
+        self.ginv1 = np.negative(dgi.transpose(0, 2, 3, 1), order="C")
         # Koszul: T_lij = (d_i g_jl + d_j g_il - d_l g_ij) / 2
         T = 0.5 * (np.einsum("pjli->plij", self.g1)
                    + np.einsum("pilj->plij", self.g1)
                    - np.einsum("pijl->plij", self.g1))
-        dT = 0.5 * (np.einsum("pjlim->plijm", self.g2)
-                    + np.einsum("piljm->plijm", self.g2)
-                    - np.einsum("pijlm->plijm", self.g2))
-        self.gamma0 = np.einsum("pkl,plij->pkij", self.ginv0, T)
-        self.gamma1 = (np.einsum("pklm,plij->pkijm", self.ginv1, T)
-                       + np.einsum("pkl,plijm->pkijm", self.ginv0, dT))
+        dT = (np.einsum("pjlim->plijm", self.g2)
+              + np.einsum("piljm->plijm", self.g2))
+        dT -= np.einsum("pijlm->plijm", self.g2)
+        dT *= 0.5
+        self.gamma0 = (gi @ T.reshape(p, d, d * d)).reshape(p, d, d, d)
+        # gamma1[k, (i, j), m] = g^kl d_m T_lij + d_m g^kl T_lij; the second
+        # product is written over dT, which the first one has consumed
+        gamma1 = (gi @ dT.reshape(p, d, d ** 3)).reshape(p, d, d * d, d)
+        gamma1 += np.matmul(T.reshape(p, 1, d, d * d).swapaxes(2, 3),
+                            self.ginv1, out=dT.reshape(gamma1.shape))
+        self.gamma1 = gamma1.reshape(p, d, d, d, d)
         self._riem = None
-        self._single = single
 
     @property
     def dim(self):
@@ -90,11 +105,16 @@ class MetricData:
         """riem[p, l, k, i, j] so that R(d_i, d_j) d_k = riem[l,k,i,j] d_l."""
         if self._riem is None:
             G0, G1 = self.gamma0, self.gamma1
-            dpart = (np.einsum("pljki->plkij", G1)
-                     - np.einsum("plikj->plkij", G1))
-            qpart = (np.einsum("plim,pmjk->plkij", G0, G0)
-                     - np.einsum("pljm,pmik->plkij", G0, G0))
-            self._riem = dpart + qpart
+            p, d = self.npts, self.dim
+            # Q[l, a, b, c] = Gamma^l_am Gamma^m_bc
+            Q = (G0.reshape(p, d * d, d) @ G0.reshape(p, d, d * d)
+                 ).reshape(p, d, d, d, d)
+            # D[l, j, k, i] = d_i Gamma^l_jk - Gamma^l_jm Gamma^m_ik, so that
+            # riem[l, k, i, j] = D[l, j, k, i] - D[l, i, k, j]
+            D = G1 - Q.swapaxes(3, 4)
+            # written over Q, which D has consumed
+            self._riem = np.subtract(D.transpose(0, 1, 3, 4, 2),
+                                     D.transpose(0, 1, 3, 2, 4), out=Q)
         return self._riem
 
 
@@ -162,14 +182,27 @@ def nabla_endo_all(md: MetricData, Aval, Agrad, Ahess):
     A enters as batched (value, gradient, Hessian) arrays.
     """
     G0, G1 = md.gamma0, md.gamma1
-    C0 = (Agrad
-          + np.einsum("pimk,pkj->pijm", G0, Aval)
-          - np.einsum("pik,pkmj->pijm", Aval, G0))
-    C1 = (Ahess
-          + np.einsum("pimkn,pkj->pijmn", G1, Aval)
-          + np.einsum("pimk,pkjn->pijmn", G0, Agrad)
-          - np.einsum("pikn,pkmj->pijmn", Agrad, G0)
-          - np.einsum("pik,pkmjn->pijmn", Aval, G1))
+    p, d = Aval.shape[:2]
+    G0_im_k = G0.reshape(p, d * d, d)
+    G0_k_mj = G0.reshape(p, d, d * d)
+    # C0 = dA + Gamma^i_mk A^k_j - A^i_k Gamma^k_mj, the products as [i, m, j]
+    C0 = Agrad.copy()
+    C0 += (G0_im_k @ Aval).reshape(p, d, d, d).transpose(0, 1, 3, 2)
+    C0 -= (Aval @ G0_k_mj).reshape(p, d, d, d).transpose(0, 1, 3, 2)
+    # d_n of those terms. The four products come out as [i, m, j, n]; S sums
+    # them, and buf holds the later three in turn and then C1 as [i, j, m, n].
+    # Reusing buf matters: each fresh (p, d^4) array costs page faults that
+    # took longer than the products themselves.
+    S = (Aval.swapaxes(1, 2)[:, None] @ G1.reshape(p, d * d, d, d)
+         ).reshape(p, d * d, d * d)
+    buf = G0_im_k @ Agrad.reshape(p, d, d * d)
+    S += buf
+    S -= np.matmul(G0_k_mj.swapaxes(1, 2)[:, None], Agrad,
+                   out=buf.reshape(p, d, d * d, d)).reshape(S.shape)
+    S -= np.matmul(Aval, G1.reshape(p, d, d ** 3),
+                   out=buf.reshape(p, d, d ** 3)).reshape(S.shape)
+    C1 = np.add(Ahess, S.reshape(p, d, d, d, d).transpose(0, 1, 3, 2, 4),
+                out=buf.reshape(p, d, d, d, d))
     return C0, C1
 
 
@@ -181,7 +214,14 @@ def covariant_derivative_endo(ev: Evaluator, g: MetricField,
     av, ag, ah = geom.eval_endo(ev, A, md.points)
     xv, _, _ = geom.eval_vector(ev, X, md.points)
     C0, _ = nabla_endo_all(md, av, ag, ah)
-    return np.einsum("pijm,pm->pij", C0, xv)[0]
+    return along(C0, xv)[0]
+
+
+def along(T, v):
+    """T contracted with the vector stack v (p, d) over its last axis, at
+    every point: the direction slot of C0 or C1 (see nabla_endo_all)."""
+    p, d = v.shape
+    return (T.reshape(p, -1, d) @ v[..., None]).reshape(T.shape[:-1])
 
 
 def second_cov_endo_const(md: MetricData, C0, C1, U, V):
@@ -192,12 +232,12 @@ def second_cov_endo_const(md: MetricData, C0, C1, U, V):
     nabla_U (nabla_V A) - nabla_{nabla_U V} A is tensorial in both slots,
     so the extension does not matter.
     """
-    B0 = np.einsum("pijm,pm->pij", C0, V)
-    B1 = np.einsum("pijmn,pm->pijn", C1, V)
-    GU = np.einsum("pink,pn->pik", md.gamma0, U)  # Gamma^i_nk U^n
-    nUB = np.einsum("pijn,pn->pij", B1, U) + GU @ B0 - B0 @ GU
-    W = np.einsum("pkj,pj->pk", GU, V)  # nabla_U V for constant V
-    return nUB - np.einsum("pijm,pm->pij", C0, W)
+    B0 = along(C0, V)
+    GU = along(md.gamma0.swapaxes(2, 3), U)  # Gamma^i_nk U^n
+    # U^n d_n B0 = C1[i, j, m, n] V^m U^n
+    nUB = along(along(C1, U), V) + GU @ B0 - B0 @ GU
+    W = along(GU, V)  # nabla_U V for constant V
+    return nUB - along(C0, W)
 
 
 def curvature(ev: Evaluator, g: MetricField, X: VectorField, Y: VectorField,
@@ -329,23 +369,15 @@ def orthonormal_frame_within(g0: np.ndarray, candidates, pivot=1e-10):
 def vector_residual_norm(g0: np.ndarray, frame, vec: np.ndarray):
     """Sup-norm of the frame components (g-inner products with the frame).
 
-    At one point, g0 is (d, d), frame (n, d) and vec a vector (d,) or a
-    stack of column vectors (..., d, N); returns a float. Over points, g0 is
-    (p, d, d), frame (p, n, d) and vec (p, d) or (p, d, N); returns the (p,)
-    per-point maxima.
+    g0 is (p, d, d), frame (p, n, d) and vec (p, d) or a stack of column
+    vectors (p, d, N); returns the (p,) per-point maxima.
     """
-    if g0.ndim == 2:
-        return float(np.max(np.abs(frame @ g0 @ vec)))
     if vec.ndim == 2:
         vec = vec[:, :, None]
     return np.abs(frame @ g0 @ vec).max(axis=(1, 2))
 
 
 def endo_residual_norm(g0: np.ndarray, frame, M: np.ndarray):
-    """Sup over frame vectors of the residual of M applied to them.
-
-    A float at one point; the (p,) per-point maxima for stacks g0, frame
-    and M with a leading points axis.
-    """
-    r = np.abs(frame @ g0 @ M @ np.swapaxes(frame, -1, -2)).max(axis=(-2, -1))
-    return float(r) if r.ndim == 0 else r
+    """Sup over frame vectors of the residual of M applied to them: the (p,)
+    per-point maxima for stacks g0, frame and M with a leading points axis."""
+    return np.abs(frame @ g0 @ M @ frame.swapaxes(1, 2)).max(axis=(1, 2))

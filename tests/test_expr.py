@@ -229,6 +229,58 @@ class TestFdOracle:
             assert errs[0] == errs[1] == ("^", (-1.0, 0.2))
 
 
+class TestPowersAndShapes:
+    @pytest.mark.parametrize("mode, rel", [("jet", 1e-15), ("fd", 1e-6)])
+    def test_large_integer_power_of_a_negative_base(self, mode, rel):
+        # 9 is above the repeated-multiplication limit; x^9 is defined at -1
+        j = Evaluator(mode).jet(parse("x^9", ["x"]), [-1.0])
+        assert j.value == pytest.approx(-1.0, rel=1e-15)
+        assert j.grad[0] == pytest.approx(9.0, rel=rel)
+        assert j.hess[0, 0] == pytest.approx(-72.0, rel=rel)
+        assert Evaluator(mode).value(parse("x^9", ["x"]), [-1.0]) == -1.0
+
+    @pytest.mark.parametrize("mode", ["jet", "fd"])
+    def test_large_integer_power_picks_its_route_per_point(self, mode):
+        ev = Evaluator(mode)
+        e = parse("x^-9", ["x"])
+        both = ev.jet(e, np.array([[1.3], [-2.0]]))
+        alone = ev.jet(e, np.array([[1.3]]))
+        # the positive base keeps exp(-9 log x), whatever else is in the batch
+        assert both.value[0] == alone.value[0]
+        assert np.array_equal(both.grad[0], alone.grad[0])
+        assert np.array_equal(both.hess[0], alone.hess[0])
+        assert both.value[1] == pytest.approx(-2.0 ** -9, rel=1e-15)
+        assert ev.value(e, np.array([[1.3], [-2.0]]))[1] == -2.0 ** -9
+
+    @pytest.mark.parametrize("mode", ["jet", "fd"])
+    def test_zero_to_a_large_negative_power_names_the_power(self, mode):
+        ev = Evaluator(mode)
+        for p in ([0.0], [[-1.0], [0.0]]):
+            with pytest.raises(EvalDomainError) as err:
+                ev.jet(parse("x^-9", ["x"]), np.array(p))
+            assert (err.value.op, err.value.point) == ("^", (0.0,))
+            with pytest.raises(EvalDomainError) as err:
+                ev.value(parse("x^-9", ["x"]), np.array(p))
+            assert err.value.op == "^"
+        assert ev.value(parse("x^9", ["x"]), [0.0]) == 0.0
+
+    @pytest.mark.parametrize("mode", ["jet", "fd"])
+    def test_a_point_alone_equals_its_row_of_a_batch(self, mode):
+        # an integer power of a compound base rounds differently as a numpy
+        # scalar than in the ufunc loop; a bare point must round as its row
+        ev = Evaluator(mode)
+        e = parse("(x*y)^3", ["x", "y"])
+        pts = np.random.default_rng(0).uniform(0.1, 1.0, size=(2000, 2))
+        values = ev.value(e, pts)
+        batch = ev.jet(e, pts)
+        for i, p in enumerate(pts):
+            assert ev.value(e, p) == values[i]
+            j = ev.jet(e, p)
+            assert j.value == batch.value[i]
+            assert np.array_equal(j.grad, batch.grad[i])
+            assert np.array_equal(j.hess, batch.hess[i])
+
+
 # ---------------------------------------------------------------------------
 # The point-by-point finite-difference walk that FdStencil replaced, kept as
 # an oracle: one eval_value walk per stencil point (1 + 4d + 16d^2 walks).

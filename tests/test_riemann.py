@@ -205,6 +205,110 @@ class TestSecondCovariantDerivative:
         assert a == pytest.approx((p[2] + 2) * b, abs=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# The einsum forms that the matmul kernels of MetricData, riemann(),
+# nabla_endo_all and second_cov_endo_const replaced, kept as an oracle.
+# ---------------------------------------------------------------------------
+
+def oracle_metric_data(g0, g1, g2):
+    ginv0 = np.linalg.inv(g0)
+    ginv1 = -np.einsum("pia,pabm,pbj->pijm", ginv0, g1, ginv0)
+    T = 0.5 * (np.einsum("pjli->plij", g1) + np.einsum("pilj->plij", g1)
+               - np.einsum("pijl->plij", g1))
+    dT = 0.5 * (np.einsum("pjlim->plijm", g2) + np.einsum("piljm->plijm", g2)
+                - np.einsum("pijlm->plijm", g2))
+    gamma0 = np.einsum("pkl,plij->pkij", ginv0, T)
+    gamma1 = (np.einsum("pklm,plij->pkijm", ginv1, T)
+              + np.einsum("pkl,plijm->pkijm", ginv0, dT))
+    riem = (np.einsum("pljki->plkij", gamma1) - np.einsum("plikj->plkij", gamma1)
+            + np.einsum("plim,pmjk->plkij", gamma0, gamma0)
+            - np.einsum("pljm,pmik->plkij", gamma0, gamma0))
+    return {"ginv1": ginv1, "gamma0": gamma0, "gamma1": gamma1, "riem": riem}
+
+
+def oracle_nabla_endo_all(G0, G1, Aval, Agrad, Ahess):
+    C0 = (Agrad + np.einsum("pimk,pkj->pijm", G0, Aval)
+          - np.einsum("pik,pkmj->pijm", Aval, G0))
+    C1 = (Ahess + np.einsum("pimkn,pkj->pijmn", G1, Aval)
+          + np.einsum("pimk,pkjn->pijmn", G0, Agrad)
+          - np.einsum("pikn,pkmj->pijmn", Agrad, G0)
+          - np.einsum("pik,pkmjn->pijmn", Aval, G1))
+    return C0, C1
+
+
+def oracle_second_cov_endo_const(G0, C0, C1, U, V):
+    B0 = np.einsum("pijm,pm->pij", C0, V)
+    B1 = np.einsum("pijmn,pm->pijn", C1, V)
+    GU = np.einsum("pink,pn->pik", G0, U)
+    nUB = np.einsum("pijn,pn->pij", B1, U) + GU @ B0 - B0 @ GU
+    W = np.einsum("pkj,pj->pk", GU, V)
+    return nUB - np.einsum("pijm,pm->pij", C0, W)
+
+
+def random_metric_jets(rng, p, d):
+    """Positive definite g0; g1 symmetric in (i, j); g2 symmetric in (i, j)
+    and in (m, n)."""
+    M = rng.normal(size=(p, d, d))
+    g0 = M @ M.swapaxes(1, 2) + d * np.eye(d)
+    g1 = rng.normal(size=(p, d, d, d))
+    g1 = g1 + g1.swapaxes(1, 2)
+    g2 = rng.normal(size=(p, d, d, d, d))
+    g2 = g2 + g2.swapaxes(1, 2)
+    g2 = g2 + g2.swapaxes(3, 4)
+    return g0, g1, g2
+
+
+def random_endo_jets(rng, p, d):
+    Ahess = rng.normal(size=(p, d, d, d, d))
+    return (rng.normal(size=(p, d, d)), rng.normal(size=(p, d, d, d)),
+            Ahess + Ahess.swapaxes(3, 4))
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1, np.abs(want)))
+
+
+class TestKernelsAgainstEinsumOracle:
+    @staticmethod
+    def _metric_data(monkeypatch, jets, points):
+        monkeypatch.setattr(riemann.geom, "eval_metric",
+                            lambda ev, g, pts: jets)
+        return MetricData(JET, None, points)
+
+    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("p", [1, 64])
+    def test_kernels(self, monkeypatch, d, p):
+        rng = np.random.default_rng(10 * d + p)
+        jets = random_metric_jets(rng, p, d)
+        md = self._metric_data(monkeypatch, jets, np.zeros((p, d)))
+        want = oracle_metric_data(*jets)
+        assert_close(md.ginv1, want["ginv1"])
+        assert_close(md.gamma0, want["gamma0"])
+        assert_close(md.gamma1, want["gamma1"])
+        assert_close(md.riemann(), want["riem"])
+        A = random_endo_jets(rng, p, d)
+        C0, C1 = riemann.nabla_endo_all(md, *A)
+        want_C0, want_C1 = oracle_nabla_endo_all(md.gamma0, md.gamma1, *A)
+        assert_close(C0, want_C0)
+        assert_close(C1, want_C1)
+        U, V = rng.normal(size=(2, p, d))
+        assert_close(riemann.second_cov_endo_const(md, C0, C1, U, V),
+                     oracle_second_cov_endo_const(md.gamma0, C0, C1, U, V))
+        # a strided layout slows every later contraction over these
+        for arr in (md.ginv1, md.gamma0, md.gamma1, md.riemann(), C0, C1):
+            assert arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_single_point(self, monkeypatch, d):
+        jets = random_metric_jets(np.random.default_rng(d), 1, d)
+        md = self._metric_data(monkeypatch, jets, np.zeros(d))
+        assert md.points.shape == (1, d)
+        want = oracle_metric_data(*jets)
+        assert_close(md.gamma1, want["gamma1"])
+        assert_close(md.riemann(), want["riem"])
+
+
 class TestFrames:
     def test_euclidean_no_preferred(self):
         frame = orthonormal_frame(np.eye(3))
@@ -236,9 +340,12 @@ class TestFrames:
         def loop_norm(v):
             return max(abs(float(v @ g0 @ u)) for u in frame)
 
-        assert riemann.vector_residual_norm(g0, frame, vec) == pytest.approx(
-            loop_norm(vec), rel=1e-12)
-        assert riemann.endo_residual_norm(g0, frame, A) == pytest.approx(
+        got = riemann.vector_residual_norm(g0[None], frame[None], vec[None])
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(loop_norm(vec), rel=1e-12)
+        got = riemann.endo_residual_norm(g0[None], frame[None], A[None])
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(
             max(loop_norm(A @ u) for u in frame), rel=1e-12)
 
     @staticmethod
@@ -290,13 +397,16 @@ class TestFrames:
         A = rng.normal(size=(p, d, d))
         for batched, single in (
                 (riemann.vector_residual_norm(g0, frames, vec),
-                 [riemann.vector_residual_norm(g0[i], frames[i], vec[i])
+                 [riemann.vector_residual_norm(g0[i][None], frames[i][None],
+                                               vec[i][None])[0]
                   for i in range(p)]),
                 (riemann.vector_residual_norm(g0, frames, cols),
-                 [riemann.vector_residual_norm(g0[i], frames[i], cols[i])
+                 [riemann.vector_residual_norm(g0[i][None], frames[i][None],
+                                               cols[i][None])[0]
                   for i in range(p)]),
                 (riemann.endo_residual_norm(g0, frames, A),
-                 [riemann.endo_residual_norm(g0[i], frames[i], A[i])
+                 [riemann.endo_residual_norm(g0[i][None], frames[i][None],
+                                             A[i][None])[0]
                   for i in range(p)])):
             assert batched.shape == (p,)
             assert batched == pytest.approx(single, rel=1e-13)
