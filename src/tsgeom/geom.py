@@ -10,7 +10,7 @@ norms downstream are sup-norms over these components).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -428,43 +428,95 @@ def endo_pullback(A: np.ndarray, omega: KFormValue) -> KFormValue:
     return KFormValue(omega.dim, omega.degree, comps)
 
 
+# Points per block of endo_pullback_jet (see there for why it blocks).
+PULLBACK_BLOCK = 8
+# Minors up to this size are Leibniz sums of gathered entries, which keep
+# the exact zeros of a structured A; larger ones go to LAPACK.
+LEIBNIZ_MAX = 4
+
+
+def _minors(A, idx):
+    """det A[..., idx[a], idx[b]] -> (..., R, R) for increasing index rows
+    idx (R, s).
+
+    Up to size LEIBNIZ_MAX a minor is the signed sum over permutations of
+    products of its entries, so a minor that is singular by its zero pattern
+    is exactly 0, where LU can leave roundoff.
+    """
+    s = idx.shape[1]
+    if s > LEIBNIZ_MAX:
+        return np.linalg.det(A[..., idx[:, None, :, None], idx[None, :, None, :]])
+    out = np.zeros(A.shape[:-2] + (len(idx), len(idx)))
+    for perm in permutations(range(s)):
+        term = float(_perm_sign(perm)[0])
+        for r in range(s):
+            term = term * A[..., idx[:, None, r], idx[None, :, perm[r]]]
+        out += term
+    return out
+
+
 def endo_pullback_jet(A: np.ndarray, Agrad: np.ndarray, k: int, comps, grads):
     """Pullback of a numeric k-form with gradients by A with gradients.
 
-    (A*ω)_I = sum_J ω_J det A[J, I] over increasing multi-indices, and
-    d_m det A[J, I] = sum_r det of A[J, I] with row r replaced by
-    d_m A[J_r, I]. Row replacement keeps the derivative of a singular minor
-    exact (a structured J has many), which Jacobi's formula would not.
+    (A*ω)_I = sum_J ω_J det A[J, I] over increasing multi-indices, and the
+    derivative of a minor is its Laplace expansion along the differentiated
+    row,
+
+        d_m det A[J, I] = sum_{r,c} (-1)^(r+c) det A[J-J_r, I-I_c] d_m A[J_r, I_c],
+
+    which is the sum over r of the minor with row r replaced by its
+    derivative. So a singular minor (a structured J has many) gets its exact
+    derivative, which Jacobi's formula would not give. Each cofactor is a
+    (k-1)-minor of A itself: the C(d,k-1)^2 of them are computed once per
+    point, as Leibniz products up to size LEIBNIZ_MAX and by LAPACK above
+    it (see _minors). Summed over (J, r) first and then over c, the
+    gradient is two batched matmuls and one gather.
+
+    The k-minor values are one batched LAPACK det per block, the same det
+    of the same matrices as a det per minor. Points go in blocks of
+    PULLBACK_BLOCK = 8 because the (b, C, C, k, k) minor stack is the
+    largest array: at (d, k, p) = (8, 5, 64) an all-points stack raised the
+    peak memory by 40 MB, blocks of 8 by 11 MB (and ran faster). A fixed
+    block also keeps each point's row bitwise the same in any batch.
 
     A: (p, d, d); Agrad: (p, d, d, m) with Agrad[., i, j, m] = d_m A[i, j];
     comps: (p, C); grads: (p, C, m), C = C(d, k). The points axis p may be
-    left out on all four. Returns the pulled (comps', grads'). Each point
-    takes one stacked det over its C*C minors and their k*m row-replaced
-    copies; the stack is per point, not over all points, to keep the peak
-    memory at one point's minors.
+    left out on all four. Returns the pulled (comps', grads').
     """
-    A = np.asarray(A, dtype=float)
+    A, Agrad, comps, grads = (np.asarray(x, dtype=float)
+                              for x in (A, Agrad, comps, grads))
     single = A.ndim == 2
     if single:
-        A, Agrad, comps, grads = (np.asarray(x, dtype=float)[None]
-                                  for x in (A, Agrad, comps, grads))
-    d, m = A.shape[-1], Agrad.shape[-1]
+        A, Agrad, comps, grads = A[None], Agrad[None], comps[None], grads[None]
+    p, d, m = A.shape[0], A.shape[-1], Agrad.shape[-1]
     idxs = form_indices(d, k)
     C = len(idxs)
     idx = np.array(idxs, dtype=np.intp).reshape(C, k)
-    rows, cols = idx[:, None, :, None], idx[None, :, None, :]
-    stack = np.empty((C, C, 1 + k * m, k, k))  # [J, I, minor or (r, m)]
-    out_v = np.empty((A.shape[0], C))
-    out_g = np.empty((A.shape[0], C, m))
-    for p in range(A.shape[0]):
-        stack[...] = A[p][rows, cols][:, :, None]
-        dA = np.moveaxis(Agrad[p][rows, cols], -1, 2)  # (C, C, m, k, k)
-        for r in range(k):
-            stack[:, :, 1 + r * m:1 + (r + 1) * m, r, :] = dA[:, :, :, r, :]
-        dets = np.linalg.det(stack)
-        det = dets[:, :, 0]
-        ddet = dets[:, :, 1:].reshape(C, C, k, m).sum(axis=2)
-        out_v[p] = np.einsum("j,ji->i", comps[p], det)
-        out_g[p] = (np.einsum("jm,ji->im", grads[p], det)
-                    + np.einsum("j,jim->im", comps[p], ddet))
+    if k:
+        # sub[drop[I, c]] = I without its c-th index, with sign (-1)^c
+        subs = form_indices(d, k - 1)
+        sub = np.array(subs, dtype=np.intp).reshape(len(subs), k - 1)
+        pos = {S: a for a, S in enumerate(subs)}
+        drop = np.array([[pos[I[:c] + I[c + 1:]] for c in range(k)]
+                         for I in idxs], dtype=np.intp).reshape(C, k)
+        sign = (-1.0) ** np.arange(k)
+    out_v = np.empty((p, C))
+    out_g = np.empty((p, C, m))
+    for lo in range(0, p, PULLBACK_BLOCK):
+        blk = slice(lo, lo + PULLBACK_BLOCK)
+        Ab, cb = A[blk], comps[blk]
+        b = Ab.shape[0]
+        det = np.linalg.det(Ab[:, idx[:, None, :, None],
+                               idx[None, :, None, :]])  # (b, J, I)
+        out_v[blk] = np.einsum("bj,bji->bi", cb, det)
+        out_g[blk] = np.einsum("bjm,bji->bim", grads[blk], det)
+        if k:
+            # W[R, i] = (-1)^r ω_J for J = R + {i} with i = J_r
+            W = np.zeros((b, len(sub), d))
+            W[:, drop, idx] = cb[:, :, None] * sign
+            T = np.matmul(W.transpose(0, 2, 1), _minors(Ab, sub))
+            # U[S, j, m] = sum_i T[i, S] d_m A[i, j]
+            U = np.matmul(T.transpose(0, 2, 1), Agrad[blk].reshape(b, d, d * m))
+            U = U.reshape(b, len(sub), d, m)
+            out_g[blk] += np.einsum("c,bicm->bim", sign, U[:, drop, idx])
     return (out_v[0], out_g[0]) if single else (out_v, out_g)

@@ -20,9 +20,7 @@ from .product import (
     DEFAULT_AB_GRID, ProductData, ProductHermitian, build_product,
     integrability_report,
 )
-from .report import (
-    CheckReport, FAIL_FACTOR, ResidualTracker, verdict_for,
-)
+from .report import CheckReport, FAIL_FACTOR, ResidualTracker
 
 
 class HarmonicError(Exception):
@@ -342,11 +340,9 @@ def astheno_residual(ev: Evaluator, P: ProductHermitian, points, tol, *,
     # C = Jinv* B: pullback by J^{-1} = -J
     Cv, Cg = geom.endo_pullback_jet(-Jv, -Jg, k1, Bv, Bg)
     Dv = geom.d_of_jet_form(P.dim, k1, Cv, Cg)
-    t = ResidualTracker("dd^c")
-    for p, D in zip(pts, Dv):
-        t.update_many(D, p)
-    return CheckReport("astheno", tol, t.max, t.mean, t.worst_point,
-                       verdict_for(t.max, tol), details={"m_complex": m})
+    t = ResidualTracker.from_points("dd^c", Dv, pts)
+    return CheckReport.from_trackers("astheno", tol, [t],
+                                     details={"m_complex": m})
 
 
 def ddc_scalar(ev: Evaluator, P: ProductHermitian, f: expr.Expression, p):

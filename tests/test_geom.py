@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
@@ -197,24 +199,47 @@ class TestPullback:
         assert v == pytest.approx(v_ref, rel=1e-13, abs=1e-13)
         assert g == pytest.approx(g_ref, rel=1e-13, abs=1e-13)
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    # k = 4, 5 are the degrees an m = 4 astheno check pulls back; k = 6
+    # has cofactors of size 5, above geom.LEIBNIZ_MAX, so it takes LAPACK
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("shape", ["random", "j_shaped"])
     def test_pullback_jet_matches_scalar_det_loop(self, shape, k):
+        d = 6 if k <= 3 else 8
         rng = np.random.default_rng(k)
-        A, Ag = _pullback_matrix(rng, shape)
-        C = len(form_indices(6, k))
+        A, Ag = _pullback_matrix(rng, shape, d)
+        C = len(form_indices(d, k))
         comps = rng.normal(size=C)
-        grads = rng.normal(size=(C, 6))
+        grads = rng.normal(size=(C, d))
         v, g = geom.endo_pullback_jet(A, Ag, k, comps, grads)
         v_ref, g_ref = _pullback_jet_loop(A, Ag, k, comps, grads)
         assert v == pytest.approx(v_ref, rel=1e-12, abs=1e-12)
         assert g == pytest.approx(g_ref, rel=1e-12, abs=1e-12)
-        # the zero rows of a J-shaped A give exactly zero minors and
-        # derivatives; both sides must keep them exact
+        # the zero rows and columns of a J-shaped A give exactly zero minors
+        # and derivatives; both sides must keep them exact
         assert np.array_equal(v == 0.0, v_ref == 0.0)
         assert np.array_equal(g == 0.0, g_ref == 0.0)
-        if shape == "j_shaped" and k == 3:
+        if shape == "j_shaped" and k >= 1:
             assert (v == 0.0).any() and (g == 0.0).any()
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_minors_singular_by_pattern_are_exact_zeros(self, s):
+        # rows 0 and 1 live in column 0 alone, with small entries, so LU
+        # pivots on a dense row and can leave roundoff in a minor that is
+        # singular by its pattern alone; the Leibniz minors must not
+        d = 6
+        pattern = np.ones((d, d), dtype=bool)
+        pattern[:2, 1:] = False
+        A = pattern * np.random.default_rng(0).uniform(0.5, 1.0, size=(d, d))
+        A[:2, 0] *= 0.1
+        idx = np.array(list(combinations(range(d), s)))
+        singular = np.array([[not any(all(pattern[R[i], S[q[i]]] for i in range(s))
+                                      for q in permutations(range(s)))
+                              for S in idx] for R in idx])
+        M = geom._minors(A, idx)
+        assert singular.any()
+        assert np.array_equal(M == 0.0, singular)
+        ref = np.linalg.det(A[idx[:, None, :, None], idx[None, :, None, :]])
+        assert np.abs(M - ref).max() <= 1e-14
 
     def test_pullback_jet_gradient_matches_central_difference(self):
         # A(x) = A0 + x_m A1[m] + x_m^2 A2[m], omega(x) = c0 + c1 x
@@ -241,12 +266,18 @@ class TestPullback:
             fd[:, m] = (vp.comps - vm.comps) / (2 * h)
         assert g == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
-    def test_pullback_jet_over_points_equals_single_calls(self):
-        rng = np.random.default_rng(5)
-        p, d, k = 4, 6, 2
+    @pytest.mark.parametrize("p", [1, geom.PULLBACK_BLOCK - 1,
+                                   geom.PULLBACK_BLOCK + 1, 64])
+    @pytest.mark.parametrize("shape", ["random", "j_shaped"])
+    def test_pullback_jet_over_points_equals_single_calls(self, shape, p):
+        # a batch is walked in blocks of PULLBACK_BLOCK points; each row
+        # must be bitwise the point evaluated alone, wherever the block
+        # boundaries fall, so that a worst point can be replayed by itself
+        rng = np.random.default_rng(p)
+        d, k = 6, 3
         C = len(form_indices(d, k))
-        A = rng.normal(size=(p, d, d))
-        Ag = rng.normal(size=(p, d, d, d))
+        A, Ag = map(np.array, zip(*(_pullback_matrix(rng, shape)
+                                    for _ in range(p))))
         comps = rng.normal(size=(p, C))
         grads = rng.normal(size=(p, C, d))
         v, g = geom.endo_pullback_jet(A, Ag, k, comps, grads)
@@ -280,19 +311,25 @@ def _pullback_jet_loop(A, Agrad, k, comps, grads):
     return out_v, out_g
 
 
-def _pullback_matrix(rng, shape):
-    """A (6, 6) matrix and its gradient (6, 6, 6).
+def _pullback_matrix(rng, shape, d=6):
+    """A (d, d) matrix and its gradient (d, d, d).
 
     "j_shaped" has the pattern of a product almost complex structure built
-    from two contact factors' phi: rows 2 and 5 (the Reeb directions) are
-    zero in A and in its gradient, so every minor through them is singular.
+    from the phi of a 3-dim and a (d-3)-dim contact factor. Rows and
+    columns 2 and d-1 (the Reeb directions) are zero in A and in its
+    gradient, so every minor through them is singular. Each phi maps the
+    even coordinates of its factor's contact plane to the odd ones and
+    back, so a minor that takes more of one kind of row than of the other
+    kind of column is singular too.
     """
     if shape == "random":
-        return rng.normal(size=(6, 6)), rng.normal(size=(6, 6, 6))
-    phi = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    pattern = np.kron(np.ones((2, 2)), phi != 0.0)
-    A = pattern * rng.normal(size=(6, 6))
-    return A, pattern[..., None] * rng.normal(size=(6, 6, 6))
+        return rng.normal(size=(d, d)), rng.normal(size=(d, d, d))
+    parity = np.array([0, 1, -1] + [i % 2 for i in range(d - 4)] + [-1])
+    plane = parity >= 0
+    pattern = (plane[:, None] & plane[None, :]
+               & (parity[:, None] != parity[None, :])).astype(float)
+    A = pattern * rng.normal(size=(d, d))
+    return A, pattern[..., None] * rng.normal(size=(d, d, d))
 
 
 class TestSampling:

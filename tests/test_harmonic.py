@@ -224,6 +224,15 @@ class TestAstheno:
         assert rep.verdict == "fail"
         assert rep.max_residual > 0.1
 
+    def test_reports_its_family_and_sample_count(self):
+        P = make(SAS, SAS, 1.0, 1.0)
+        rep = astheno_residual(JET, P, sample_points(P.chart, 4, 7), 1e-6)
+        fam = rep.details["families"]["dd^c"]
+        assert fam["samples"] == 4
+        assert fam["max_residual"] == rep.max_residual
+        assert fam["worst_point"] == list(rep.worst_point)
+        assert rep.details["m_complex"] == 3
+
     def test_broken_j_raises(self):
         P = make(SAS, FLAT, 1.0, 1.0, broken_j=True)
         with pytest.raises(NotIntegrable):
