@@ -289,6 +289,8 @@ def _pullback_field(J: geom.EndomorphismField, omega: KFormField) -> KFormField:
     k = omega.degree
     idxs = omega.indices()
     from itertools import permutations
+    perms = [(perm, geom._perm_sign(perm)[0] < 0)
+             for perm in permutations(range(k))]
     out = []
     for I in idxs:
         total = expr.ZERO
@@ -296,12 +298,11 @@ def _pullback_field(J: geom.EndomorphismField, omega: KFormField) -> KFormField:
             if omega.comps[s] == expr.ZERO:
                 continue
             det = expr.ZERO
-            for perm in permutations(range(k)):
-                sign, _ = geom._perm_sign(perm)
+            for perm, odd in perms:
                 term = expr.ONE
                 for r in range(k):
                     term = expr.mul(term, J.comps[K[perm[r]]][I[r]])
-                det = expr.add(det, expr.neg(term) if sign < 0 else term)
+                det = expr.add(det, expr.neg(term) if odd else term)
             total = expr.add(total, expr.mul(omega.comps[s], det))
         out.append(total)
     return KFormField(omega.chart, k, tuple(out))

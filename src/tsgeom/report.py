@@ -38,14 +38,30 @@ WORST_POINT_RTOL = 1e-12
 
 
 class ResidualTracker:
-    """Max/mean/worst-point accumulator.
+    """Max/mean/worst-point accumulator, fed a stack of samples at a time.
 
-    samples counts update calls; count counts the components the mean is
-    taken over (update_many adds one sample of many components).
-    max is the true maximum. The worst point is the first point whose value
-    is within WORST_POINT_RTOL of it: a later sample takes over only when it
-    is clearly larger, so a family that is constant up to roundoff keeps its
-    first point instead of one picked by summation order.
+    update_many(values, points) takes values[i] as sample i, at points[i]:
+    a 1-D stack holds one scalar per sample, a deeper one an array of
+    components per sample. samples counts samples; count counts the
+    components the mean is taken over. A sample's value is its top, the
+    largest absolute component, or inf when that is not finite (a NaN must
+    fail, not vanish from the max).
+
+    The result is bitwise that of feeding the samples one by one:
+    - total is one sequential np.cumsum over [prior total, a_0, b_0, a_1,
+      b_1, ...], a_i the top of sample i and b_i = np.sum(row) - top over
+      its contiguous components; b_i is left out for a scalar or a
+      non-finite top.
+    - max is the true maximum.
+    - The worst point is the first point whose value is within
+      WORST_POINT_RTOL of the max: a later sample takes over only when it
+      beats the value w at the worst point by more than tol(w) =
+      WORST_POINT_RTOL * max(1, w), so a family that is constant up to
+      roundoff keeps its first point instead of one picked by summation
+      order. Every sample seen so far is at most w + tol(w), so a sample
+      that takes over is above the running max of the earlier ones; only
+      sample 0 and those samples are walked, and only their points are
+      looked up.
     """
 
     def __init__(self, name: str):
@@ -58,57 +74,71 @@ class ResidualTracker:
         self._at_worst = 0.0  # the value at worst_point
 
     def update(self, value: float, point=None):
-        v = float(abs(value))
-        if not math.isfinite(v):  # a NaN must fail, not vanish from the max
-            v = math.inf
-        first = self.count == 0
-        self.samples += 1
-        self.count += 1
-        self.total += v
-        if first or v > self.max:
-            self.max = v
-        w = self._at_worst
-        if first or v > w + WORST_POINT_RTOL * max(1.0, w):
-            self._at_worst = v
-            if point is not None:
-                self.worst_point = tuple(float(x) for x in np.atleast_1d(point))
+        """One scalar sample."""
+        self.update_many([value], None if point is None else [point])
+
+    def update_many(self, values, points=None, rows=None):
+        """A stack of samples; sample i is at points[rows[i]], or at
+        points[i] without rows. Samples with no component add nothing."""
+        v = np.abs(np.asarray(values, dtype=float))
+        if v.size == 0:
+            return
+        n = v.shape[0]
+        if points is not None and rows is None and len(points) != n:
+            raise ValueError(f"{n} samples at {len(points)} points")
+        scalars = v.ndim == 1
+        v = np.ascontiguousarray(v.reshape(n, -1))
+        top = np.max(v, axis=1)
+        finite = np.isfinite(top)
+        top[~finite] = math.inf
+        rest = np.subtract(np.sum(v, axis=1), top, out=np.zeros(n),
+                           where=finite)
+        addends = np.column_stack([top, rest])[np.column_stack(
+            [np.ones(n, bool), finite & (not scalars)])]
+        self.count += v.size
+        first = self.samples == 0
+        self.samples += n
+        sums = np.cumsum(np.concatenate(([self.total], addends)))
+        self.total = float(sums[-1])
+        m = float(np.max(top))
+        if first or m > self.max:
+            self.max = m
+        above = np.flatnonzero(top[1:] > np.maximum.accumulate(top)[:-1]) + 1
+        for i in [0] + above.tolist():
+            t, w = float(top[i]), self._at_worst
+            if first or t > w + WORST_POINT_RTOL * max(1.0, w):
+                first = False
+                self._at_worst = t
+                if points is not None:
+                    p = points[i if rows is None else rows[i]]
+                    self.worst_point = tuple(
+                        float(x) for x in np.atleast_1d(p))
 
     @classmethod
     def from_points(cls, name, values, points):
-        """A tracker fed one sample per point, in point order; a sample
-        given as an array of components goes through update_many."""
+        """A tracker fed one sample per point, in point order."""
         t = cls(name)
-        feed = t.update if np.ndim(values) == 1 else t.update_many
-        for v, p in zip(values, points):
-            feed(v, p)
+        t.update_many(values, points)
         return t
 
     @classmethod
     def point_major(cls, name, r, points, keep=None):
         """A tracker fed r[argument, point, ...] point by point, arguments
         in order within a point. Axes after the points axis are the
-        components of one sample (see from_points); keep[argument, point],
+        components of one sample (see update_many); keep[argument, point],
         when given, drops the samples where it is False."""
+        t = cls(name)
         if len(r) == 0:
-            return cls(name)
+            return t
         r = np.asarray(r, dtype=float)
+        nargs = r.shape[0]
         vals = r.swapaxes(0, 1).reshape((-1,) + r.shape[2:])
-        pts = np.repeat(points, r.shape[0], 0)
+        rows = np.arange(vals.shape[0])
         if keep is not None:
             k = np.asarray(keep).swapaxes(0, 1).ravel()
-            vals, pts = vals[k], pts[k]
-        return cls.from_points(name, vals, pts)
-
-    def update_many(self, values, point=None):
-        arr = np.abs(np.asarray(values, dtype=float)).ravel()
-        if arr.size == 0:
-            return
-        top = float(np.max(arr))
-        self.update(top, point)  # a non-finite top enters the total as inf
-        # count every component toward the mean
-        self.count += arr.size - 1
-        if math.isfinite(top):
-            self.total += float(np.sum(arr)) - top
+            vals, rows = vals[k], rows[k]
+        t.update_many(vals, points, rows // nargs)
+        return t
 
     @property
     def mean(self):
@@ -142,7 +172,9 @@ class CheckReport:
             verdict = INCONCLUSIVE
         worst = max(trackers, key=lambda t: t.max) if trackers else None
         max_res = worst.max if worst else 0.0
-        total = sum(t.total for t in trackers)
+        total = 0.0
+        for t in trackers:  # in order: builtin sum compensates on 3.12+
+            total += t.total
         count = sum(t.count for t in trackers)
         det = dict(details or {})
         det["families"] = {t.name: t.summary() for t in trackers}

@@ -278,10 +278,10 @@ def oracle_validate_axioms(ev, S, points, tol):
         p = sd.points[i]
         phi, xi, eta, g0 = sd.phi0[i], sd.xi0[i], sd.eta0[i], sd.md.g0[i]
         t_unit.update(eta @ xi - 1.0, p)
-        t_sq.update_many(phi @ phi + eye - np.outer(xi, eta), p)
-        t_comp.update_many(phi.T @ g0 @ phi - g0 + np.outer(eta, eta), p)
-        t_phixi.update_many(phi @ xi, p)
-        t_etaphi.update_many(eta @ phi, p)
+        t_sq.update_many([phi @ phi + eye - np.outer(xi, eta)], [p])
+        t_comp.update_many([phi.T @ g0 @ phi - g0 + np.outer(eta, eta)], [p])
+        t_phixi.update_many([phi @ xi], [p])
+        t_etaphi.update_many([eta @ phi], [p])
     return CheckReport.from_trackers(
         f"axioms[{S.name}]", tol, [t_unit, t_sq, t_comp, t_phixi, t_etaphi])
 
@@ -342,18 +342,18 @@ def oracle_verify_trans_sasakian(ev, F, points, tol):
         phi, xi, eta = sd.phi0[i], sd.xi0[i], sd.eta0[i]
         alpha, beta = float(av[i]), float(bv[i])
         deta = geom.exterior_derivative(ev, eta_field, p)
-        t_deta.update_many(deta.comps - 2.0 * alpha * phiv[i], p)
+        t_deta.update_many([deta.comps - 2.0 * alpha * phiv[i]], [p])
         dphi = geom.exterior_derivative(ev, phi_field, p)
         etaphi = geom.wedge_values(
             geom.KFormValue(d, 1, etav[i]), geom.KFormValue(d, 2, phiv[i]))
-        t_dphi.update_many(dphi.comps - 2.0 * beta * etaphi.comps, p)
+        t_dphi.update_many([dphi.comps - 2.0 * beta * etaphi.comps], [p])
         for m in range(d):
             npm = C0[i][:, :, m]
             for j in range(d):
                 closed = (alpha * (g0[m, j] * xi - eta[j] * np.eye(d)[:, m])
                           + beta * (float((phi[:, m]) @ g0[:, j]) * xi
                                     - eta[j] * phi[:, m]))
-                t_nphi.update_many(npm[:, j] - closed, p)
+                t_nphi.update_many([npm[:, j] - closed], [p])
         G0 = sd.md.gamma0[i]
         for m in range(d):
             for j in range(d):
@@ -363,7 +363,8 @@ def oracle_verify_trans_sasakian(ev, F, points, tol):
                 t_neta.update(lhs - rhs, p)
         for j in range(d):
             t_reeb.update(float(eta @ brackets[j][i]), p)
-        t_xixi.update_many(riemann.cov_vector_at(sd.md, i, xi, xi, sd.xi1[i]), p)
+        t_xixi.update_many(
+            [riemann.cov_vector_at(sd.md, i, xi, xi, sd.xi1[i])], [p])
     return CheckReport.from_trackers(
         f"trans_sasakian[{S.name}]", tol,
         [t_deta, t_dphi, t_nphi, t_neta, t_reeb, t_xixi])
@@ -463,7 +464,7 @@ def oracle_transverse_properties_report(ev, F, points, tol):
             X0 = tp.field_jets(X)[0]
             for U in dspan:
                 a = tp.nabla_T_value(X0, phiU[id(U)])
-                t_phi.update_many(a - phi @ tp.nabla_T_value(X0, U), p)
+                t_phi.update_many([a - phi @ tp.nabla_T_value(X0, U)], [p])
             for iu, U in enumerate(dspan):
                 for iv, V in enumerate(dspan):
                     if iv < iu:
@@ -474,7 +475,7 @@ def oracle_transverse_properties_report(ev, F, points, tol):
                     t_g.update(lhs - rhs, p)
         for iu, U in enumerate(dspan):
             a = tp.nabla_T_value(xi, phiU[id(U)])
-            t_reeb_phi.update_many(a - phi @ tp.nabla_T_value(xi, U), p)
+            t_reeb_phi.update_many([a - phi @ tp.nabla_T_value(xi, U)], [p])
             for iv, V in enumerate(dspan):
                 if iv < iu:
                     continue
@@ -491,14 +492,15 @@ def oracle_transverse_properties_report(ev, F, points, tol):
                 V0 = uvals[iv]
                 br = geom.lie_bracket(ev, U, V, sd.points)[0]
                 brD = br - float(eta @ br) * xi
-                t_tor.update_many(tp.nabla_T_value(U0, V)
-                                  - tp.nabla_T_value(V0, U) - brD, p)
+                t_tor.update_many([tp.nabla_T_value(U0, V)
+                                   - tp.nabla_T_value(V0, U) - brD], [p])
                 vv, vg, _ = geom.eval_vector(ev, V, sd.points)
                 nUV = riemann.cov_vector_at(sd.md, 0, U0, vv[0], vg[0])
                 phiUV = float(U0 @ g0 @ (phi @ V0))
                 coeff = -av * phiUV - bv * float((phi @ U0) @ g0 @ (phi @ V0))
-                t_e4.update_many(nUV - (coeff * xi + tp.nabla_T_value(U0, V)), p)
-                t_e5.update_many(br - (-2.0 * av * phiUV * xi + brD), p)
+                t_e4.update_many(
+                    [nUV - (coeff * xi + tp.nabla_T_value(U0, V))], [p])
+                t_e5.update_many([br - (-2.0 * av * phiUV * xi + brD)], [p])
     rep = CheckReport.from_trackers(
         f"transverse_properties[{S.name}]", tol, [t_phi, t_g, t_tor, t_e4, t_e5])
     rep.details["reeb_direction"] = {
@@ -541,7 +543,7 @@ def oracle_transverse_curvature_report(ev, F, points, tol):
                     brxiW = geom.lie_bracket(ev, S.xi, W, sd.points)[0]
                     lhs = tp.nabla_T_value(brD, W)
                     rhs = tp.nabla_T_value(br, W) + 2 * av * phiUV * brxiW
-                    t_i.update_many(lhs - rhs, p)
+                    t_i.update_many([lhs - rhs], [p])
                     nbrW = riemann.cov_vector_at(sd.md, 0, br, W0, W1)
                     phiW = phi @ W0
                     closed = (2 * av * av * phiUV * phiW
@@ -549,7 +551,7 @@ def oracle_transverse_curvature_report(ev, F, points, tol):
                               - av * float(brD @ g0 @ phiW) * xi
                               - bv * float(br @ g0 @ W0) * xi
                               + tp.nabla_T_value(br, W))
-                    t_ii.update_many(nbrW - closed, p)
+                    t_ii.update_many([nbrW - closed], [p])
                     Rgen = np.einsum("lkij,i,j,k->l", riem, U0, V0, W0)
                     phiU, phiV = phi @ U0, phi @ V0
                     phi2U, phi2V = phi @ phiU, phi @ phiV
@@ -567,10 +569,10 @@ def oracle_transverse_curvature_report(ev, F, points, tol):
                                - bv * bv * gUW * phi2V
                                + 2 * av * bv * phiUV * W0
                                - av * bv * PhiUW * phi2V)
-                    t_iii.update_many(Rgen - closed3, p)
+                    t_iii.update_many([Rgen - closed3], [p])
                 Rxi = np.einsum("lkij,i,j,k->l", riem, U0, V0, xi)
-                t_iv.update_many(Rxi - bv * float(eta @ br) * xi, p)
-                gen_norm.update_many(Rxi, p)
+                t_iv.update_many([Rxi - bv * float(eta @ br) * xi], [p])
+                gen_norm.update_many([Rxi], [p])
     rep = CheckReport.from_trackers(
         f"transverse_curvature[{S.name}]", tol, [t_i, t_ii, t_iii])
     rep.details["reeb_curvature_comparison"] = {

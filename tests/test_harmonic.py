@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsgeom import contact, geom, harmonic, product
+from tsgeom import contact, expr, geom, harmonic, product
 from tsgeom.contact import builtin_factor
 from tsgeom.expr import JET, parse
 from tsgeom.geom import sample_points
@@ -194,6 +194,29 @@ class TestEnergy:
         assert ratio == pytest.approx(4.0, rel=1e-6)
 
 
+def _pullback_field_per_term(J, omega):
+    """(J* omega)_I = sum_K omega_K det(J[K, I]), taking the sign of each
+    permutation anew for every term: the oracle of _pullback_field."""
+    from itertools import permutations
+    idxs = omega.indices()
+    out = []
+    for I in idxs:
+        total = expr.ZERO
+        for s, K in enumerate(idxs):
+            if omega.comps[s] == expr.ZERO:
+                continue
+            det = expr.ZERO
+            for perm in permutations(range(omega.degree)):
+                sign, _ = geom._perm_sign(perm)
+                term = expr.ONE
+                for r in range(omega.degree):
+                    term = expr.mul(term, J.comps[K[perm[r]]][I[r]])
+                det = expr.add(det, expr.neg(term) if sign < 0 else term)
+            total = expr.add(total, expr.mul(omega.comps[s], det))
+        out.append(total)
+    return geom.KFormField(omega.chart, omega.degree, tuple(out))
+
+
 class TestAstheno:
     def test_m2_short_circuit(self):
         P = make(FLAT, FLAT, 0.0, 1.0)
@@ -232,6 +255,15 @@ class TestAstheno:
         assert fam["max_residual"] == rep.max_residual
         assert fam["worst_point"] == list(rep.worst_point)
         assert rep.details["m_complex"] == 3
+
+    def test_pullback_field_matches_the_per_term_sign_oracle(self):
+        # Omega^2 on the canonical pair: degree 4, 24 permutations per det
+        P = make(SAS, KEN, 1.0, 1.0)
+        gamma = geom.wedge_power_field(harmonic.kahler_form_field(P), 2)
+        assert gamma.degree == 4
+        got = harmonic._pullback_field(P.J, gamma)
+        want = _pullback_field_per_term(P.J, gamma)
+        assert (got.degree, got.comps) == (want.degree, want.comps)
 
     def test_broken_j_raises(self):
         P = make(SAS, FLAT, 1.0, 1.0, broken_j=True)
