@@ -9,6 +9,7 @@ norms downstream are sup-norms over these components).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -172,8 +173,9 @@ def _eval_comps(ev: Evaluator, comps, points):
     For comps nested to shape S (a bare expression has S = ()), returns
     val[..., *S], grad[..., *S, m] = d_m and hess[..., *S, m, n], batched
     over the leading axes of points. Each distinct expression is evaluated
-    once per call, so repeated components (ZERO entries, the mirrored half
-    of a metric) cost one jet.
+    once per call, so the mirrored half of a metric costs one jet. A finite
+    constant component (the ZERO entries, structure constants) is not
+    evaluated at all: its value is written and its derivatives stay zero.
     """
     pts = np.asarray(points, dtype=float)
     shape, flat = (), [comps]
@@ -181,16 +183,20 @@ def _eval_comps(ev: Evaluator, comps, points):
         shape += (len(flat[0]),)
         flat = [e for row in flat for e in row]
     unique = {}
-    slots = [unique.setdefault(e, len(unique)) for e in flat]
+    slots = [None if isinstance(e, expr.Const) and math.isfinite(e.value)
+             else unique.setdefault(e, len(unique)) for e in flat]
     jets = ev.jets(unique, pts)
     base, d = pts.shape[:-1], pts.shape[-1]
     val = np.empty(base + shape)
-    grad = np.empty(base + shape + (d,))
-    hess = np.empty(base + shape + (d, d))
+    grad = np.zeros(base + shape + (d,))
+    hess = np.zeros(base + shape + (d, d))
     flat_val = val.reshape(base + (-1,))
     flat_grad = grad.reshape(base + (-1, d))
     flat_hess = hess.reshape(base + (-1, d, d))
-    for c, slot in enumerate(slots):
+    for c, (e, slot) in enumerate(zip(flat, slots)):
+        if slot is None:
+            flat_val[..., c] = e.value
+            continue
         j = jets[slot]
         flat_val[..., c] = j.value
         flat_grad[..., c, :] = j.grad

@@ -43,13 +43,21 @@ INCONCLUSIVE_H = "inconclusive"
 # Each helper returns arrays with a leading points axis; frames are the
 # (p, n, d) stacks of ProductData.frames.
 
+def _frame_weight(frames):
+    """S = F^T F for frames F (p, n, d): S[m, n] = sum_a u_a^m u_a^n.
+
+    A sum over the frame vectors of a term bilinear in (u_a, u_a) is that
+    term with the weight S in place of the pair.
+    """
+    return frames.swapaxes(1, 2) @ frames
+
+
 def _frame_sum_delta(C0, frames):
-    """sum_a (nabla_{u_a} J) u_a over the frame rows, added in frame order."""
-    total = 0.0
-    for a in range(frames.shape[1]):
-        u = frames[:, a]
-        total = total + np.einsum("pij,pj->pi", riemann.along(C0, u), u)
-    return total
+    """sum_a (nabla_{u_a} J) u_a over the frame rows: C0[i, j, m] S[m, j]."""
+    p, d = C0.shape[:2]
+    S = _frame_weight(frames)
+    return (C0.reshape(p, d, d * d)
+            @ S.swapaxes(1, 2).reshape(p, d * d, 1))[..., 0]
 
 
 def _P_with_frame(pd: ProductData, frames):
@@ -96,12 +104,8 @@ def chern_ricci_P(pd: ProductData):
 def rough_laplacian_J(pd: ProductData):
     """Trace of the second covariant derivative of J over the frames."""
     C0, C1 = pd.nabla_J()
-    frames = pd.frames
-    out = 0.0
-    for a in range(frames.shape[1]):
-        u = frames[:, a]
-        out = out + riemann.second_cov_endo_const(pd.md, C0, C1, u, u)
-    return out
+    return riemann.second_cov_endo_const(pd.md, C0, C1,
+                                         _frame_weight(pd.frames))
 
 
 def commutator_condition_bracket(g0, phi0, frame_block, U):
@@ -236,17 +240,20 @@ def codifferential_report(ev: Evaluator, P: ProductHermitian, points, tol
 
 
 def dirichlet_energy_density(pd: ProductData):
-    """||nabla J||^2 = sum_i ||nabla_{u_i} J||^2_G over the adapted frames.
+    """||nabla J||^2 = sum_a ||nabla_{u_a} J||^2_G over the adapted frames.
 
-    A (p,) array.
+    A (p,) array: C0[i, j, m] g[i, k] C0[k, l, n] S[j, l] S[m, n].
     """
     C0, _ = pd.nabla_J()
-    g0, frames = pd.md.g0, pd.frames
-    total = 0.0
-    for a in range(frames.shape[1]):
-        W = riemann.along(C0, frames[:, a]) @ frames.swapaxes(1, 2)  # columns nJ v
-        total = total + ((g0 @ W) * W).sum(axis=(1, 2))
-    return total
+    g0 = pd.md.g0
+    p, d = C0.shape[:2]
+    S = _frame_weight(pd.frames)
+    # SCS[i, l, n] = S[l, j] C0[i, j, m] S[m, n] and gC0[i, l, n] =
+    # g[i, k] C0[k, l, n], in that order and summed by a batched dot, so
+    # that at most two (p, d^3) temporaries are alive at once
+    SCS = S.swapaxes(1, 2)[:, None] @ C0 @ S[:, None]
+    gC0 = g0 @ C0.reshape(p, d, d * d)
+    return (gC0.reshape(p, 1, -1) @ SCS.reshape(p, -1, 1))[:, 0, 0]
 
 
 def energy_report(ev: Evaluator, P: ProductHermitian, points, tol

@@ -80,8 +80,11 @@ class MetricData:
         T = 0.5 * (np.einsum("pjli->plij", self.g1)
                    + np.einsum("pilj->plij", self.g1)
                    - np.einsum("pijl->plij", self.g1))
-        dT = (np.einsum("pjlim->plijm", self.g2)
-              + np.einsum("piljm->plijm", self.g2))
+        # d_m T_lij: g2 is exactly symmetric in its first two indices (a
+        # metric's mirrored entries are one expression), so the first term
+        # d_m d_i g_jl = g2[l, j, i, m] and the second d_m d_j g_il =
+        # g2[l, i, j, m] are two views of g2, the second one g2 itself
+        dT = self.g2.transpose(0, 1, 3, 2, 4) + self.g2
         dT -= np.einsum("pijlm->plijm", self.g2)
         dT *= 0.5
         self.gamma0 = (gi @ T.reshape(p, d, d * d)).reshape(p, d, d, d)
@@ -224,20 +227,34 @@ def along(T, v):
     return (T.reshape(p, -1, d) @ v[..., None]).reshape(T.shape[:-1])
 
 
-def second_cov_endo_const(md: MetricData, C0, C1, U, V):
-    """(nabla^2_{U,V} A) at every point, for vector stacks U, V of shape (p, d).
+def second_cov_endo_const(md: MetricData, C0, C1, S):
+    """sum_{m,n} S[m, n] (nabla^2_{d_n, d_m} A) at every point, for a
+    (p, d, d) weight S.
 
-    C0, C1 are the batched covariant derivative of A and its gradient (see
-    nabla_endo_all). Uses the constant extension of V; the combination
-    nabla_U (nabla_V A) - nabla_{nabla_U V} A is tensorial in both slots,
-    so the extension does not matter.
+    The weight S[m, n] = V^m U^n of vector stacks U, V (p, d) gives
+    nabla^2_{U,V} A; the weight F^T F of frames F (p, n, d) gives the trace
+    over the frame vectors. C0, C1 are the batched covariant derivative of A
+    and its gradient (see nabla_endo_all). Uses the constant extension of V:
+    nabla_U (nabla_V A) - nabla_{nabla_U V} A is then bilinear in (U, V),
+    and it is tensorial in both slots, so the extension does not matter.
     """
-    B0 = along(C0, V)
-    GU = along(md.gamma0.swapaxes(2, 3), U)  # Gamma^i_nk U^n
-    # U^n d_n B0 = C1[i, j, m, n] V^m U^n
-    nUB = along(along(C1, U), V) + GU @ B0 - B0 @ GU
-    W = along(GU, V)  # nabla_U V for constant V
-    return nUB - along(C0, W)
+    G0 = md.gamma0
+    p, d = S.shape[:2]
+    # U^n d_n (nabla_V A) = C1[i, j, m, n] S[m, n]
+    out = (C1.reshape(p, d * d, d * d) @ S.reshape(p, d * d, 1)
+           ).reshape(p, d, d)
+    # Y[k, j, n] = C0[k, j, m] S[m, n]; the commutator of nabla_V A with
+    # Gamma^i_nk U^n is Gamma^i_nk Y[k, j, n] - Y[i, k, n] Gamma^k_nj. Each
+    # term takes Y in the layout it needs straight from C0, as [n, k, j]
+    # and as [i, k, n], so that no transposed copy of Y is made.
+    C0_kj_m = C0.reshape(p, d * d, d)
+    out += G0.reshape(p, d, d * d) @ (S.swapaxes(1, 2) @ C0_kj_m.swapaxes(
+        1, 2)).reshape(p, d * d, d)
+    out -= (C0_kj_m @ S).reshape(p, d, d * d) @ G0.reshape(p, d * d, d)
+    # nabla_U V for constant V: W^l = Gamma^l_nk S[k, n]
+    W = G0.reshape(p, d, d * d) @ S.swapaxes(1, 2).reshape(p, d * d, 1)
+    out -= (C0_kj_m @ W).reshape(p, d, d)
+    return out
 
 
 def curvature(ev: Evaluator, g: MetricField, X: VectorField, Y: VectorField,

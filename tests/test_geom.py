@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsgeom import expr, geom
+from tsgeom.contact import builtin_factor
 from tsgeom.expr import JET, parse
 from tsgeom.geom import (
     ChartMismatch, DegreeOverflow, KFormValue, chart, coordinate_field,
@@ -359,3 +360,112 @@ class TestSampling:
         c = chart(["t", "x", "y"], field_exprs=[e])
         assert c.box[0] == (-0.5, 0.5)
         assert c.box[1] == (-1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# _eval_comps skips finite constants; the walker that evaluated every
+# component through a jet is kept as the oracle.
+# ---------------------------------------------------------------------------
+
+def oracle_eval_comps(ev, comps, points):
+    pts = np.asarray(points, dtype=float)
+    shape, flat = (), [comps]
+    while flat and isinstance(flat[0], tuple):
+        shape += (len(flat[0]),)
+        flat = [e for row in flat for e in row]
+    unique = {}
+    slots = [unique.setdefault(e, len(unique)) for e in flat]
+    jets = ev.jets(unique, pts)
+    base, d = pts.shape[:-1], pts.shape[-1]
+    val = np.empty(base + shape)
+    grad = np.empty(base + shape + (d,))
+    hess = np.empty(base + shape + (d, d))
+    flat_val = val.reshape(base + (-1,))
+    flat_grad = grad.reshape(base + (-1, d))
+    flat_hess = hess.reshape(base + (-1, d, d))
+    for c, slot in enumerate(slots):
+        j = jets[slot]
+        flat_val[..., c] = j.value
+        flat_grad[..., c, :] = j.grad
+        flat_hess[..., c, :, :] = j.hess
+    return val, grad, hess
+
+
+def _comps_cases():
+    S = builtin_factor("sasakian_heisenberg").structure
+    inf_field = vector_field(R3, [parse("x*y", R3.names),
+                                  expr.const(float("inf")), expr.ZERO])
+    zero = expr.ZERO
+    all_const = geom.endo_field(R3, [[expr.const(2.0), zero, zero],
+                                     [zero, expr.const(-1.5), zero],
+                                     [zero, zero, zero]])
+    return {
+        "bare expression": parse("x*y + sin(z)", R3.names),
+        "bare constant": expr.const(3.0),
+        "one-form": S.eta.comps,
+        "endomorphism": S.phi.comps,
+        "metric": S.g.comps,
+        "non-finite constant": inf_field.comps,
+        "all constant": all_const.comps,
+    }
+
+
+def _non_const(comps):
+    flat = [comps]
+    while flat and isinstance(flat[0], tuple):
+        flat = [e for row in flat for e in row]
+    return {e for e in flat
+            if not (isinstance(e, expr.Const) and np.isfinite(e.value))}
+
+
+class TestEvalCompsConstants:
+    CASES = _comps_cases()
+    EVALUATORS = {"jet": expr.Evaluator("jet"), "fd": expr.Evaluator("fd")}
+
+    @pytest.mark.parametrize("mode", ["jet", "fd"])
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
+    def test_bitwise_oracle(self, case, mode, shape):
+        ev = self.EVALUATORS[mode]
+        comps = self.CASES[case]
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=shape)
+        # fd differences of an infinite constant are NaN in both walkers
+        with np.errstate(invalid="ignore"):
+            got = geom._eval_comps(ev, comps, pts)
+            want = oracle_eval_comps(ev, comps, pts)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True)
+
+    @pytest.mark.parametrize("mode", ["jet", "fd"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_jet_per_distinct_non_constant(self, monkeypatch, case, mode):
+        calls = []
+        original = expr.Evaluator.jet
+
+        def counting(self, e, points, **kw):
+            calls.append(e)
+            return original(self, e, points, **kw)
+
+        monkeypatch.setattr(expr.Evaluator, "jet", counting)
+        comps = self.CASES[case]
+        with np.errstate(invalid="ignore"):
+            geom._eval_comps(self.EVALUATORS[mode], comps,
+                             sample_points(R3, 4, seed=1))
+        assert sorted(map(repr, calls)) == sorted(map(repr, _non_const(comps)))
+
+    def test_all_constant_field_walks_no_stencil(self, monkeypatch):
+        walks = []
+        original = expr.eval_value
+
+        def counting(e, points):
+            walks.append(e)
+            return original(e, points)
+
+        monkeypatch.setattr(expr, "eval_value", counting)
+        val, grad, hess = geom._eval_comps(
+            self.EVALUATORS["fd"], self.CASES["all constant"],
+            sample_points(R3, 4, seed=1))
+        assert walks == []
+        assert np.array_equal(val[0], np.diag([2.0, -1.5, 0.0]))
+        assert not grad.any() and not hess.any()

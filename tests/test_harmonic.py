@@ -458,3 +458,56 @@ class TestBatchedAgainstPointwiseOracle:
         vol = np.prod([hi - lo for lo, hi in P.chart.box])
         assert _close(rep.details["box_quadrature_estimate"],
                       float(np.mean(o["density"] * o["sqrt_det"]) * vol))
+
+
+# ---------------------------------------------------------------------------
+# The frame sums are one contraction with S = F^T F; the per-frame loops
+# they replaced are kept as the oracle.
+# ---------------------------------------------------------------------------
+
+def oracle_frame_sum_delta(C0, frames):
+    total = 0.0
+    for a in range(frames.shape[1]):
+        u = frames[:, a]
+        total = total + np.einsum("pijm,pm,pj->pi", C0, u, u)
+    return total
+
+
+def oracle_rough_laplacian_J(pd):
+    C0, C1 = pd.nabla_J()
+    return np.array([sum(_second_cov_at(pd.md, i, C0[i], C1[i], u, u)
+                         for u in pd.frames[i])
+                     for i in range(pd.points.shape[0])])
+
+
+def oracle_dirichlet_energy_density(pd):
+    C0, _ = pd.nabla_J()
+    g0, frames = pd.md.g0, pd.frames
+    total = 0.0
+    for a in range(frames.shape[1]):
+        W = np.einsum("pijm,pm->pij", C0, frames[:, a]) @ frames.swapaxes(1, 2)
+        total = total + ((g0 @ W) * W).sum(axis=(1, 2))
+    return total
+
+
+def _all_close(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1, np.abs(want)))
+
+
+class TestFrameContractionsAgainstFrameLoops:
+    CASES = [(k1, k2, ab) for k1, k2 in harmonic.TABLE1_ROWS
+             for ab in product.DEFAULT_AB_GRID]
+
+    @pytest.mark.parametrize("k1,k2,ab", CASES)
+    def test_table1_products(self, k1, k2, ab):
+        P = build_product(contact.factor_for_class(k1),
+                          contact.factor_for_class(k2), *ab, validate=False)
+        pd = ProductData(JET, P, sample_points(P.chart, 8, 7))
+        C0, _ = pd.nabla_J()
+        _all_close(rough_laplacian_J(pd), oracle_rough_laplacian_J(pd))
+        _all_close(dirichlet_energy_density(pd),
+                   oracle_dirichlet_energy_density(pd))
+        for frames in (pd.frames, mixed_frame(pd, seed=13)):
+            delta, _ = delta_and_P_with_frame(pd, frames)
+            _all_close(delta, oracle_frame_sum_delta(C0, frames))

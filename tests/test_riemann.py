@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from tsgeom import geom, riemann
+from tsgeom.contact import builtin_factor
 from tsgeom.expr import JET, Evaluator, parse
 from tsgeom.geom import chart, coordinate_field, endo_field, metric_field, vector_field
+from tsgeom.product import build_product
 from tsgeom.riemann import (
     DependentPreferredVectors, MetricData, SingularMetric, christoffel,
     covariant_derivative_endo, covariant_derivative_vector, curvature,
@@ -293,7 +295,9 @@ class TestKernelsAgainstEinsumOracle:
         assert_close(C0, want_C0)
         assert_close(C1, want_C1)
         U, V = rng.normal(size=(2, p, d))
-        assert_close(riemann.second_cov_endo_const(md, C0, C1, U, V),
+        # the rank-one weight S[m, n] = V^m U^n is the one pair (U, V)
+        assert_close(riemann.second_cov_endo_const(
+                         md, C0, C1, V[:, :, None] * U[:, None, :]),
                      oracle_second_cov_endo_const(md.gamma0, C0, C1, U, V))
         # a strided layout slows every later contraction over these
         for arr in (md.ginv1, md.gamma0, md.gamma1, md.riemann(), C0, C1):
@@ -307,6 +311,42 @@ class TestKernelsAgainstEinsumOracle:
         want = oracle_metric_data(*jets)
         assert_close(md.gamma1, want["gamma1"])
         assert_close(md.riemann(), want["riem"])
+
+
+def three_view_gamma1(md):
+    """gamma1 with dT summed from three permuted views of g2, as before the
+    symmetry of g2 in (i, j) was used; the rest is MetricData's kernel."""
+    g1, g2 = md.g1, md.g2
+    p, d = md.npts, md.dim
+    T = 0.5 * (np.einsum("pjli->plij", g1) + np.einsum("pilj->plij", g1)
+               - np.einsum("pijl->plij", g1))
+    dT = np.einsum("pjlim->plijm", g2) + np.einsum("piljm->plijm", g2)
+    dT -= np.einsum("pijlm->plijm", g2)
+    dT *= 0.5
+    gamma1 = (md.ginv0 @ dT.reshape(p, d, d ** 3)).reshape(p, d, d * d, d)
+    gamma1 += T.reshape(p, 1, d, d * d).swapaxes(2, 3) @ md.ginv1
+    return gamma1.reshape(p, d, d, d, d)
+
+
+class TestSymmetricDT:
+    """dT from one view of g2 is bitwise the three-view sum on real metrics,
+    whose g2 is exactly symmetric in (i, j)."""
+
+    @staticmethod
+    def _metrics():
+        sas = builtin_factor("sasakian_heisenberg")
+        ken = builtin_factor("kenmotsu_warped")
+        P = build_product(sas, ken, 1.0, 1.0, validate=False)
+        return {"sasakian_heisenberg": (sas.structure.g, sas.chart),
+                "product": (P.G, P.chart)}
+
+    @pytest.mark.parametrize("mode", ["jet", "fd"])
+    @pytest.mark.parametrize("name", ["sasakian_heisenberg", "product"])
+    def test_gamma1_bitwise(self, name, mode):
+        g, ch = self._metrics()[name]
+        md = MetricData(Evaluator(mode), g, geom.sample_points(ch, 16, 3))
+        assert np.array_equal(md.g2, md.g2.swapaxes(1, 2))
+        assert np.array_equal(md.gamma1, three_view_gamma1(md))
 
 
 class TestFrames:
