@@ -126,11 +126,27 @@ def _box_overrides(box, factors):
     return out
 
 
+def _constants(e):
+    """The Const nodes of an expression (fold it first to see the constants
+    that the field assembly would make)."""
+    if isinstance(e, expr.Const):
+        return [e]
+    if isinstance(e, expr.Coord):
+        return []
+    if isinstance(e, expr.Unary):
+        return _constants(e.arg)
+    return _constants(e.left) + _constants(e.right)
+
+
 def _parse_expr(src, names, path):
     try:
-        return parse(str(src), names)
+        e = parse(str(src), names)
     except (ParseError, UnknownIdentifier) as exc:
         raise ManifestError(path, f"bad expression {src!r}: {exc}") from exc
+    _expect(all(math.isfinite(c.value)
+                for c in _constants(expr.fold_constants(e))), path,
+            f"bad expression {src!r}: it holds a non-finite constant")
+    return e
 
 
 def _load_custom_factor(block, path):
@@ -356,14 +372,13 @@ def run(mf) -> dict:
     products = {}
 
     def get_product(ab):
+        # a product-coordinate key narrows the sampling box only: J, G and
+        # the embedded factor fields keep the chart they were built on
         if ab not in products:
             P = build_product(f1, f2, ab[0], ab[1], validate=False,
                               broken_j=mf["broken_j"])
-            ch = _apply_box_overrides(P.chart, mf["box_overrides"], "product")
-            if ch != P.chart:
-                import dataclasses
-                P = dataclasses.replace(P, chart=ch)
-            products[ab] = (P, sample_points(P.chart, mf["count"], mf["seed"]))
+            box = _apply_box_overrides(P.chart, mf["box_overrides"], "product")
+            products[ab] = (P, sample_points(box, mf["count"], mf["seed"]))
         return products[ab]
 
     def run_one(name, fn):

@@ -181,6 +181,19 @@ def shift_coords(e, offset: int):
     return Binary(e.op, shift_coords(e.left, offset), shift_coords(e.right, offset))
 
 
+def fold_constants(e):
+    """e rebuilt through add, sub, mul and neg, so that constant operands
+    fold into one Const as they do when fields are assembled from it."""
+    if isinstance(e, Unary):
+        arg = fold_constants(e.arg)
+        return neg(arg) if e.op == "neg" else Unary(e.op, arg)
+    if isinstance(e, Binary):
+        left, right = fold_constants(e.left), fold_constants(e.right)
+        fold = {"+": add, "-": sub, "*": mul}.get(e.op)
+        return fold(left, right) if fold else Binary(e.op, left, right)
+    return e
+
+
 def coords_under_exp(e) -> set:
     """Coordinate indices appearing inside an exp(...) subtree.
 
@@ -716,7 +729,7 @@ class FdStencil:
 
     def jet(self, e: Expression) -> Jet2:
         pts, h = self.points, self.step
-        if isinstance(e, Const) and math.isfinite(e.value):
+        if isinstance(e, Const):
             return Jet2.constant(e.value, pts.shape[:-1], pts.shape[-1])
         # the centre gets its own walk, so a domain error names a sample point
         v = eval_value(e, pts)

@@ -145,7 +145,8 @@ def sufficient_condition_tensors(pd: ProductData):
         out[tag] = {
             "condition_max": np.max(np.abs(cond), axis=(1, 2), initial=0.0),
             "commutator_max": riemann.vector_residual_norm(
-                g0, pd.frames, comm.swapaxes(1, 2).reshape(p, d, -1))}
+                g0, pd.frames, comm.swapaxes(1, 2).reshape(p, d, -1)
+            ).max(axis=1)}
     return out
 
 

@@ -237,11 +237,53 @@ def spanning_fields(P: ProductHermitian, factor: int):
     return out
 
 
+@dataclass
+class SpanStack:
+    """Spanning fields of one factor, stacked over a trailing argument axis:
+    the columns idx (A of them) of fields = (val, grad, fval, fgrad), the
+    arrays of every spanning field of the factor. An array is gathered only
+    when it is read, so a family copies only what its closed forms use:
+    product-chart values val (p, d, A) and gradients grad (p, d, d, A) with
+    grad[:, k, m] = d_m X^k, factor-chart values fval (p, d_w, A) and
+    gradients fgrad (p, d_w, d_w, A)."""
+
+    factor: int  # 1 or 2
+    fields: tuple
+    idx: np.ndarray
+
+    def take(self, idx):
+        """The stack of the arguments idx, indices along the argument axis."""
+        return SpanStack(self.factor, self.fields, self.idx[idx])
+
+    @property
+    def val(self):
+        return self.fields[0][..., self.idx]
+
+    @property
+    def grad(self):
+        return self.fields[1][..., self.idx]
+
+    @property
+    def fval(self):
+        return self.fields[2][..., self.idx]
+
+    @property
+    def fgrad(self):
+        return self.fields[3][..., self.idx]
+
+
+def _argument_grid(*stacks):
+    """The argument tuples of `for X in stacks[0] for Y in stacks[1] ...`
+    as one stack per slot, the first slot varying slowest."""
+    idx = np.indices([len(s.idx) for s in stacks])
+    return tuple(s.take(i.ravel()) for s, i in zip(stacks, idx))
+
+
 class ProductData:
     """Batched jets of everything the product reports need.
 
     The single owner of per-(product, points) data: metric jets, structure
-    tensors, spanning fields with their cached jets, and adapted frames.
+    tensors, spanning-field stacks and adapted frames.
     """
 
     def __init__(self, ev: Evaluator, P: ProductHermitian, points):
@@ -269,7 +311,6 @@ class ProductData:
         self.b1 = self._scalar(P.e1.beta)
         self.a2 = self._scalar(P.e2.alpha)
         self.b2 = self._scalar(P.e2.beta)
-        self._jets = {}
         self._CJ = None
 
     def _scalar(self, e):
@@ -289,19 +330,19 @@ class ProductData:
         """{factor: spanning fields}, see spanning_fields."""
         return {w: spanning_fields(self.P, w) for w in (1, 2)}
 
-    def jets(self, S: SpanField):
-        """Product-chart and factor-chart jets of a spanning field.
-
-        Returns ((val, grad, hess) on the product chart at the points,
-        (val, grad, hess) on the factor chart at the sliced points),
-        evaluated once per field.
-        """
-        if S.label not in self._jets:
-            fpts = self.P.factor_point(S.factor, self.points)
-            self._jets[S.label] = (
-                geom.eval_vector(self.ev, S.product_field, self.points),
-                geom.eval_vector(self.ev, S.factor_field, fpts))
-        return self._jets[S.label]
+    @cached_property
+    def stacks(self):
+        """{factor: SpanStack of its spanning fields, in span order}."""
+        out = {}
+        for w, fields in self.span.items():
+            fpts = self.P.factor_point(w, self.points)
+            jets = [geom.eval_vector(self.ev, S.product_field, self.points)[:2]
+                    + geom.eval_vector(self.ev, S.factor_field, fpts)[:2]
+                    for S in fields]
+            out[w] = SpanStack(w, tuple(np.stack(a, axis=-1)
+                                        for a in zip(*jets)),
+                               np.arange(len(fields)))
+        return out
 
     def nabla_J(self):
         """C0[p,i,j,m] = (nabla_{d_m} J)^i_j and its gradient C1."""
@@ -341,47 +382,45 @@ class ProductData:
                 (self.phi1v, self.xi1v, self.eta1v, self.g1v, self.a1, self.b1),
                 (self.phi2v, self.xi2v, self.eta2v, self.g2v, self.a2, self.b2)))
 
-    def column(self, S: SpanField):
-        """Product-chart value of a spanning field as (p, d, 1) columns."""
-        return self.jets(S)[0][0][:, :, None]
-
 
 def _inner(X, g, Y):
-    """g(X, Y) for (p, d, 1) column stacks, as (p, 1, 1) scalars."""
-    return X.swapaxes(1, 2) @ g @ Y
+    """g(X, Y) column by column for (p, d, A) stacks, as (p, 1, A)."""
+    return np.sum(X * (g @ Y), axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form variants: connection
 # ---------------------------------------------------------------------------
 #
-# The variants take (p, d, 1) column stacks of argument values and return
-# {variant: (p, d, 1) value} over the points.
+# Each family of argument tuples is one stack per argument slot (SpanStack,
+# all of one factor), A tuples along the trailing axis. The variants do
+# column algebra on the (p, d, A) values and return {variant: (p, d, A)
+# value} over the points and the tuples.
 
-def _factor_cov(pd: ProductData, which, X: SpanField, Y: SpanField):
+def _in_block(pd: ProductData, which, vals):
+    """(p, d_w, A) factor-chart columns placed in their product-chart block."""
+    out = np.zeros((pd.points.shape[0], pd.P.dim, vals.shape[-1]))
+    out[:, (pd.P.e1 if which == 1 else pd.P.e2).block, :] = vals
+    return out
+
+
+def _factor_cov(pd: ProductData, which, X: SpanStack, Y: SpanStack):
     """Factor covariant derivative nabla^i_X Y in its product-chart block."""
-    _, (xv, _, _) = pd.jets(X)
-    _, (yv, yg, _) = pd.jets(Y)
-    out = np.zeros((pd.points.shape[0], pd.P.dim, 1))
-    out[:, (pd.P.e1 if which == 1 else pd.P.e2).block, 0] = (
-        riemann.cov_vector_at(pd.factor_md[which], ..., xv, yv, yg))
-    return out
+    return _in_block(pd, which, riemann.cov_vector_at(
+        pd.factor_md[which], ..., X.fval, Y.fval, Y.fgrad))
 
 
-def _factor_curvature(pd: ProductData, which, U: SpanField, V: SpanField,
-                      Z: SpanField):
+def _factor_curvature(pd: ProductData, which, U: SpanStack, V: SpanStack,
+                      Z: SpanStack):
     """Factor curvature R^i(U, V) Z in its product-chart block."""
-    out = np.zeros((pd.points.shape[0], pd.P.dim, 1))
-    out[:, (pd.P.e1 if which == 1 else pd.P.e2).block, 0] = (
-        riemann.curvature_values(pd.factor_md[which], ...,
-                                 *(pd.jets(S)[1][0] for S in (U, V, Z))))
-    return out
+    return _in_block(pd, which, riemann.curvature_values(
+        pd.factor_md[which], ..., U.fval, V.fval, Z.fval))
 
 
-def connection_variants(pd: ProductData, X: SpanField, Y: SpanField,
-                        Xval, Yval):
+def connection_variants(pd: ProductData, X: SpanStack, Y: SpanStack):
     """Named closed forms for nabla_X Y, by (factor(X), factor(Y)) block."""
     P = pd.P
+    Xval, Yval = X.val, Y.val
     a, b, lam = P.a, P.b, P.lam
     (phi1, xi1, eta1, g1, a1, b1), (phi2, xi2, eta2, g2, a2, b2) = (
         pd.factor_columns)
@@ -419,10 +458,10 @@ def connection_variants(pd: ProductData, X: SpanField, Y: SpanField,
     return {"reference": ref, "koszul": kos}
 
 
-def nabla_j_variants(pd: ProductData, X: SpanField, Y: SpanField,
-                     Xval, Yval):
+def nabla_j_variants(pd: ProductData, X: SpanStack, Y: SpanStack):
     """Named closed forms for (nabla_X J) Y, by block case."""
     P = pd.P
+    Xval, Yval = X.val, Y.val
     a, b, lam = P.a, P.b, P.lam
     ab2 = a * a + b * b
     (phi1, xi1, eta1, g1, a1, b1), (phi2, xi2, eta2, g2, a2, b2) = (
@@ -488,10 +527,11 @@ def nabla_j_variants(pd: ProductData, X: SpanField, Y: SpanField,
     return {"reference": ref, "reference_beta2": ref_b2, "koszul": kos}
 
 
-def curvature_variants(pd: ProductData, U: SpanField, V: SpanField,
-                       Z: SpanField, Uval, Vval, Zval):
+def curvature_variants(pd: ProductData, U: SpanStack, V: SpanStack,
+                       Z: SpanStack):
     """Named closed forms for R(U,V)Z with U,V D-sections of one factor."""
     P = pd.P
+    Uval, Vval, Zval = U.val, V.val, Z.val
     a, b, lam = P.a, P.b, P.lam
     (phi1, xi1, eta1, g1, a1, b1), (phi2, xi2, eta2, g2, a2, b2) = (
         pd.factor_columns)
@@ -551,29 +591,25 @@ def curvature_variants(pd: ProductData, U: SpanField, V: SpanField,
 def _adjudicate(pd: ProductData, name, tol, families, zero_families):
     """Residuals of every family over the points, as one report.
 
-    families maps a family name to (argument tuples, variant names, fn),
-    where fn(*args) returns the generic value and {variant: value} at every
-    point as (p, d, 1) stacks; a variant's residual is the frame norm of
-    generic - value at each point. A family's residual is that of its best
-    variant, and the variants within tolerance are recorded as matched.
-    zero_families maps a family name to (argument tuples, fn), where
-    fn(*args) returns the (p,) residuals of a generic quantity that must
-    vanish; one at or above tol raises the report's max and verdict. Each
-    tracker sees its samples point-major, arguments in order within a point.
+    families yields (family name, generic, {variant: value}), one family at
+    a time, with (p, d, A) stacks over the points and the family's A
+    argument tuples; a variant's
+    residual is the frame norm of generic - value, column by column. A
+    family's residual is that of its best variant, and the variants within
+    tolerance are recorded as matched. zero_families maps a family name to
+    the (p, A) residuals of a generic quantity that must vanish; one at or
+    above tol raises the report's max and verdict. Each tracker sees its
+    samples point-major, arguments in order within a point.
     """
     g0, frames = pd.md.g0, pd.frames
-    trackers = {}
-    for fam, (args, names, fn) in families.items():
-        res = {v: [] for v in names}
-        for a in args:
-            generic, variants = fn(*a)
-            for vn, val in variants.items():
-                res[vn].append(
-                    riemann.vector_residual_norm(g0, frames, generic - val))
-        trackers[fam] = {v: ResidualTracker.point_major(fam, r, pd.points)
-                         for v, r in res.items()}
-    zero = [ResidualTracker.point_major(fam, [fn(*a) for a in args], pd.points)
-            for fam, (args, fn) in zero_families.items()]
+    trackers = {
+        fam: {v: ResidualTracker.point_major(
+                  fam, riemann.vector_residual_norm(g0, frames, generic - val).T,
+                  pd.points)
+              for v, val in variants.items()}
+        for fam, generic, variants in families}
+    zero = [ResidualTracker.point_major(fam, r.T, pd.points)
+            for fam, r in zero_families.items()]
 
     best = [min(v.values(), key=lambda t: t.max) for v in trackers.values()]
     rep = CheckReport.from_trackers(name, tol, best)
@@ -601,119 +637,118 @@ def connection_closed_form_report(ev: Evaluator, P: ProductHermitian,
     Reeb-pair identities nabla_{xi_i} xi_j = 0 (checked generically).
     """
     pd = ProductData(ev, P, points)
-    span = pd.span
-    reebs = (span[1][0], span[2][0])
+    S = pd.stacks
 
     def cov(X, Y):
-        (xv, _, _), _ = pd.jets(X)
-        (yv, yg, _), _ = pd.jets(Y)
-        return riemann.cov_vector_at(pd.md, ..., xv, yv, yg)[:, :, None]
+        return riemann.cov_vector_at(pd.md, ..., X.val, Y.val, Y.grad)
 
-    def closed(X, Y):
-        return cov(X, Y), connection_variants(pd, X, Y, pd.column(X),
-                                              pd.column(Y))
+    def families():
+        for u, v in _BLOCKS:
+            X, Y = _argument_grid(S[u], S[v])
+            yield f"nabla_X{u}_Y{v}", cov(X, Y), connection_variants(pd, X, Y)
 
-    families = {
-        f"nabla_X{u}_Y{v}": ([(X, Y) for X in span[u] for Y in span[v]],
-                             ("reference", "koszul"), closed)
-        for u, v in _BLOCKS}
-    zero = {"nabla_xi_xi_zero": (
-        [(X, Y) for X in reebs for Y in reebs],
-        lambda X, Y: riemann.vector_residual_norm(pd.md.g0, pd.frames,
-                                                  cov(X, Y)))}
-    return _adjudicate(pd, "connection_closed_forms", tol, families, zero)
+    # the Reeb pairs (xi_i, xi_j), i slowest
+    xi = np.stack((pd.xi1v, pd.xi2v), axis=-1)
+    xig = np.stack([S[w].grad[..., 0] for w in (1, 2)], axis=-1)
+    i, j = np.indices((2, 2)).reshape(2, -1)
+    zero = {"nabla_xi_xi_zero": riemann.vector_residual_norm(
+        pd.md.g0, pd.frames,
+        riemann.cov_vector_at(pd.md, ..., xi[..., i], xi[..., j],
+                              xig[..., j]))}
+    return _adjudicate(pd, "connection_closed_forms", tol, families(), zero)
 
 
 def nabla_J_report(ev: Evaluator, P: ProductHermitian, points, tol
                    ) -> CheckReport:
     """(nabla_X J) Y vs the four block closed forms; nabla_{xi_i} J = 0."""
     pd = ProductData(ev, P, points)
-    span = pd.span
+    S = pd.stacks
     C0, _ = pd.nabla_J()
+    p, d = pd.points.shape[0], P.dim
 
-    def nabla_XJ(X):
-        return riemann.along(C0, pd.jets(X)[0][0])
+    def nabla_XJ_Y(X, Y):
+        # (nabla_X J)^i_j = C0[i, j, m] X^m, then applied to Y, per column
+        CX = (C0.reshape(p, d * d, d) @ X.val).reshape(p, d, d, -1)
+        return np.einsum("pijn,pjn->pin", CX, Y.val)
 
-    def closed(X, Y):
-        return nabla_XJ(X) @ pd.column(Y), nabla_j_variants(
-            pd, X, Y, pd.column(X), pd.column(Y))
+    def families():
+        for u, v in _BLOCKS:
+            X, Y = _argument_grid(S[u], S[v])
+            yield (f"nabla_J_X{u}_Y{v}", nabla_XJ_Y(X, Y),
+                   nabla_j_variants(pd, X, Y))
 
-    names = {(1, 1): ("reference", "reference_single_beta", "koszul"),
-             (2, 2): ("reference", "koszul"),
-             (1, 2): ("reference", "koszul"),
-             (2, 1): ("reference", "reference_beta2", "koszul")}
-    families = {
-        f"nabla_J_X{u}_Y{v}": ([(X, Y) for X in span[u] for Y in span[v]],
-                               names[u, v], closed)
-        for u, v in _BLOCKS}
-    zero = {"nabla_xiJ_zero": (
-        [(span[1][0],), (span[2][0],)],
-        lambda S: riemann.endo_residual_norm(pd.md.g0, pd.frames,
-                                             nabla_XJ(S)))}
-    return _adjudicate(pd, "nabla_J_closed_forms", tol, families, zero)
+    zero = {"nabla_xiJ_zero": np.stack([
+        riemann.endo_residual_norm(pd.md.g0, pd.frames, riemann.along(C0, xi))
+        for xi in (pd.xi1v, pd.xi2v)], axis=1)}
+    return _adjudicate(pd, "nabla_J_closed_forms", tol, families(), zero)
 
 
 def curvature_closed_form_report(ev: Evaluator, P: ProductHermitian, points,
                                  tol) -> CheckReport:
     """Generic curvature of G vs the closed forms, including the Reeb rows."""
     pd = ProductData(ev, P, points)
-    span = pd.span
-    xi = {w: span[w][0] for w in (1, 2)}
+    S = pd.stacks
     (_, xi1, eta1, _, _, b1), (phi2, xi2, _, g2, a2, b2) = pd.factor_columns
 
     def R(U, V, Z):
-        return riemann.curvature_values(
-            pd.md, ..., *(pd.jets(S)[0][0] for S in (U, V, Z)))[:, :, None]
+        return riemann.curvature_values(pd.md, ..., U.val, V.val, Z.val)
 
     def closed(U, V, Z):
-        return R(U, V, Z), curvature_variants(
-            pd, U, V, Z, pd.column(U), pd.column(V), pd.column(Z))
+        return R(U, V, Z), curvature_variants(pd, U, V, Z)
+
+    def xi(w, A):
+        """The Reeb field of factor w, repeated over A arguments."""
+        return S[w].take(np.zeros(A, dtype=int))
 
     def own_reeb(U, V):
         """R(U, V) xi_w for U, V in factor w, against its printed shortcut."""
-        generic, variants = closed(U, V, xi[U.factor])
-        if U.factor == 1:
-            (uv, ug, _), _ = pd.jets(U)
-            (vv, vg, _), _ = pd.jets(V)
-            br = vg @ uv[:, :, None] - ug @ vv[:, :, None]
+        w = U.factor
+        Z = xi(w, len(U.idx))
+        generic, variants = closed(U, V, Z)
+        if w == 1:
+            br = (np.sum(V.grad * U.val[:, None], axis=2)
+                  - np.sum(U.grad * V.val[:, None], axis=2))
             printed = -b1 * (eta1 @ br) * xi1
         else:
-            phiU = phi2 @ pd.column(U)
-            phi2V = phi2 @ (phi2 @ pd.column(V))
+            phiU = phi2 @ U.val
+            phi2V = phi2 @ (phi2 @ V.val)
             gpp2 = _inner(phiU, g2, phi2V)
             gpp3 = _inner(phiU, g2, phi2 @ phi2V)
-            printed = _factor_curvature(pd, 2, U, V, xi[2]) + P.lam * (
+            printed = _factor_curvature(pd, 2, U, V, Z) + P.lam * (
                 2 * a2 * b2 * gpp2 - 2 * b2 * b2 * gpp3) * xi2
         return generic, {"reference": printed, "koszul": variants["koszul"]}
 
     def other_reeb(U, V):
         """R(U, V) xi_other for U, V in one factor; printed as zero."""
-        generic, variants = closed(U, V, xi[3 - U.factor])
+        generic, variants = closed(U, V, xi(3 - U.factor, len(U.idx)))
         return generic, {"reference": np.zeros_like(generic),
                          "koszul": variants["koszul"]}
 
     # diagonal pairs (U, U) are kept: the generic side vanishes there by
     # antisymmetry, which exposes symmetric transcription defects that
     # orthogonal off-diagonal pairs cannot see
-    pairs = {w: [(U, V) for U in span[w] if U.in_d
-                 for V in span[w] if V.in_d] for w in (1, 2)}
-    names = ("reference", "koszul")
-    families = {
-        f"R_U{w}V{w}_Z{z}": ([(U, V, Z) for U, V in pairs[w] for Z in span[z]],
-                             names, closed)
-        for w in (1, 2) for z in (1, 2)}
-    families.update({
-        "R_U1V1_xi1": (pairs[1], names, own_reeb),
-        "R_U1V1_xi2_zero": (pairs[1], names, other_reeb),
-        "R_U2V2_xi1_zero": (pairs[2], names, other_reeb),
-        "R_U2V2_xi2": (pairs[2], names, own_reeb),
-    })
+    D = {w: S[w].take([k for k, F in enumerate(pd.span[w]) if F.in_d])
+         for w in (1, 2)}
+
+    def families():
+        for w in (1, 2):
+            for z in (1, 2):
+                yield (f"R_U{w}V{w}_Z{z}",
+                       *closed(*_argument_grid(D[w], D[w], S[z])))
+        for fam, w, fn in (("R_U1V1_xi1", 1, own_reeb),
+                           ("R_U1V1_xi2_zero", 1, other_reeb),
+                           ("R_U2V2_xi1_zero", 2, other_reeb),
+                           ("R_U2V2_xi2", 2, own_reeb)):
+            yield (fam, *fn(*_argument_grid(D[w], D[w])))
+
     # R(xi1, xi2) annihilates everything
-    zero = {"R_xi1_xi2_zero": (
-        [(Z,) for Z in span[1] + span[2]],
-        lambda Z: riemann.vector_residual_norm(pd.md.g0, pd.frames,
-                                               R(xi[1], xi[2], Z)))}
-    return _adjudicate(pd, "curvature_closed_forms", tol, families, zero)
+    Z = np.concatenate([S[w].val for w in (1, 2)], axis=-1)
+    xi1s, xi2s = (np.broadcast_to(v[..., None], Z.shape)
+                  for v in (pd.xi1v, pd.xi2v))
+    zero = {"R_xi1_xi2_zero": riemann.vector_residual_norm(
+        pd.md.g0, pd.frames,
+        riemann.curvature_values(pd.md, ..., xi1s, xi2s, Z))}
+    return _adjudicate(pd, "curvature_closed_forms", tol, families(), zero)
 
 
 def integrability_report(ev: Evaluator, P: ProductHermitian, points, tol
@@ -735,10 +770,9 @@ def integrability_report(ev: Evaluator, P: ProductHermitian, points, tol
     A = np.einsum("pmi,pkjm->pkij", Jv, Jg)
     N = (A - A.swapaxes(2, 3) + np.einsum("pkl,plij->pkij", Jv, Jg)
          - np.einsum("pkl,plji->pkij", Jv, Jg))
-    pairs = zip(*np.triu_indices(d, 1))
-    t = ResidualTracker.point_major("nijenhuis", [
-        riemann.vector_residual_norm(md.g0, frames, N[:, :, i, j])
-        for i, j in pairs], pts)
+    i, j = np.triu_indices(d, 1)
+    t = ResidualTracker.point_major("nijenhuis", riemann.vector_residual_norm(
+        md.g0, frames, N[:, :, i, j]).T, pts)
     rep = CheckReport.from_trackers("integrability", tol, [t])
     rep.details["integrable"] = bool(t.max < tol)
     return rep

@@ -26,7 +26,7 @@ Frames are (n, d) arrays whose rows are the frame vectors, so iterating,
 len and slicing walk the vectors, and a residual norm is one product with
 the frame: max|F g v| for a vector, max|F g M F^T| for an endomorphism.
 Over the points they stack to (p, n, d), and the residual norms then give
-one maximum per point.
+one maximum per point, or per point and column for a stack of columns.
 """
 
 from __future__ import annotations
@@ -129,15 +129,22 @@ def christoffel(ev: Evaluator, g: MetricField, p) -> np.ndarray:
 
 def curvature_values(md: MetricData, i, X, Y, Z) -> np.ndarray:
     """R(X, Y) Z from vector values at point index i of md, or at every
-    point for i = ... with (p, d) stacks X, Y, Z.
+    point for i = ... with (p, d) stacks X, Y, Z. With a trailing axis of N
+    columns, (d, N) or (p, d, N), it gives R(X, Y) Z column by column.
 
-    One matrix product per argument, contracting j, then i, then k.
+    The products X^i Y^j come first, so that one matrix product with
+    riem[(l, k), (i, j)] contracts both slots; k is contracted with Z last.
     """
     r = md.riemann()[i]
     lead, d = r.shape[:-4], r.shape[-1]
-    t = r.reshape(lead + (d ** 3, d)) @ Y[..., None]
-    t = t.reshape(lead + (d * d, d)) @ X[..., None]
-    return (t.reshape(lead + (d, d)) @ Z[..., None])[..., 0]
+    cols = X.ndim == r.ndim - 2
+    if not cols:
+        X, Y, Z = X[..., None], Y[..., None], Z[..., None]
+    n = X.shape[-1]
+    XY = (X[..., :, None, :] * Y[..., None, :, :]).reshape(lead + (d * d, n))
+    t = (r.reshape(lead + (d * d, d * d)) @ XY).reshape(lead + (d, d, n))
+    out = np.einsum("...lkn,...kn->...ln", t, Z)
+    return out if cols else out[..., 0]
 
 
 def covariant_derivative_vector(ev: Evaluator, g: MetricField, X: VectorField,
@@ -154,9 +161,13 @@ def covariant_derivative_vector(ev: Evaluator, g: MetricField, X: VectorField,
 
 def cov_vector_at(md: MetricData, i, Xval, Yval, Ygrad) -> np.ndarray:
     """nabla_X Y from pointwise data (X enters pointwise) at point index i
-    of md, or at every point for i = ... with (p, d) and (p, d, d) stacks."""
-    return (np.einsum("...ki,...i->...k", Ygrad, Xval)
-            + np.einsum("...kij,...i,...j->...k", md.gamma0[i], Xval, Yval))
+    of md, or at every point for i = ... with (p, d) and (p, d, d) stacks.
+    With a trailing axis of N columns on all three, (p, d, N) and
+    (p, d, d, N) stacks, it gives nabla_X Y column by column."""
+    G = md.gamma0[i]
+    n = "n" if Xval.ndim == G.ndim - 1 else ""
+    return (np.einsum(f"...ki{n},...i{n}->...k{n}", Ygrad, Xval)
+            + np.einsum(f"...kij,...i{n},...j{n}->...k{n}", G, Xval, Yval))
 
 
 def cov_vector_jet(md: MetricData, i, Xval, Xgrad, Yval, Ygrad, Yhess):
@@ -386,12 +397,13 @@ def orthonormal_frame_within(g0: np.ndarray, candidates, pivot=1e-10):
 def vector_residual_norm(g0: np.ndarray, frame, vec: np.ndarray):
     """Sup-norm of the frame components (g-inner products with the frame).
 
-    g0 is (p, d, d), frame (p, n, d) and vec (p, d) or a stack of column
-    vectors (p, d, N); returns the (p,) per-point maxima.
+    g0 is (p, d, d), frame (p, n, d) and vec (p, d), or a stack of N column
+    vectors (p, d, N); returns the (p,) per-point maxima, or the (p, N)
+    maxima of each column.
     """
-    if vec.ndim == 2:
-        vec = vec[:, :, None]
-    return np.abs(frame @ g0 @ vec).max(axis=(1, 2))
+    one = vec.ndim == 2
+    top = np.abs(frame @ g0 @ (vec[:, :, None] if one else vec)).max(axis=1)
+    return top[:, 0] if one else top
 
 
 def endo_residual_norm(g0: np.ndarray, frame, M: np.ndarray):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tsgeom import cli, report
+from tsgeom import cli, product, report
 from tsgeom.cli import (
     EXIT_CONFIG, EXIT_FAILED, EXIT_OK, ManifestError, load_manifest, main,
     resolve_manifest, run,
@@ -101,6 +101,32 @@ class TestManifest:
         assert main(["verify", m]) == EXIT_CONFIG
         assert f"configuration error: {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("src, where", [
+        ("1e999", "g"), ("1e200*1e200", "g"), ("x*1e999", "phi"),
+        ("-1e999", "alpha"), ("1e308+1e308", "beta"),
+    ], ids=["overflowing_literal", "folded_product", "inside_product",
+            "negated", "folded_sum"])
+    def test_non_finite_constant_exit_2_with_path(self, tmp_path, capsys,
+                                                  src, where):
+        custom = {
+            "dim": 3, "coords": ["x", "y", "z"],
+            "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+            "xi": ["0", "0", "1"], "eta": ["0", "0", "1"],
+        }
+        path = "$.factors[1].custom." + where
+        if where in ("g", "phi"):
+            custom[where][0][1] = src
+            path += "[0][1]"
+        else:
+            custom[where] = src
+        data = dict(MINIMAL, factors=[{"builtin": "cosymplectic_flat"},
+                                      {"custom": custom}])
+        assert main(["verify", write_manifest(tmp_path, data)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: {path}:" in err
+        assert "non-finite constant" in err
+
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_broken_j_must_be_a_json_boolean(self, tmp_path, capsys, value):
         data = dict(MINIMAL, product={"tamper": {"broken_j": value}})
@@ -151,6 +177,23 @@ class TestRun:
             if chk["name"].startswith("energy"):
                 continue
             assert chk["max_residual"] < 1e-9, chk["name"]
+
+    @pytest.mark.parametrize("key", ["t2", "product.t2"])
+    def test_product_box_override_narrows_the_sampling_only(self, key):
+        mf = resolve_manifest({
+            "factors": [{"builtin": "sasakian_heisenberg"},
+                        {"builtin": "kenmotsu_warped"}],
+            "product": {"a": 1.0, "b": 1.0},
+            "checks": ["connection", "nabla_j", "curvature"],
+            "sampling": {"count": 8, "box": {key: [-0.2, 0.2]}},
+        })
+        names = product.build_product(*mf["factors"], 1.0, 1.0).chart.names
+        t2 = names.index("t2")
+        out = run(mf)
+        assert [c["verdict"] for c in out["checks"]] == ["pass"] * 3
+        for chk in out["checks"]:
+            for fam in chk["details"]["families"].values():
+                assert -0.2 <= fam["worst_point"][t2] <= 0.2, chk["name"]
 
     def test_empty_checks_report_only(self):
         mf = resolve_manifest(dict(MINIMAL, checks=[]))

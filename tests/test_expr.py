@@ -405,6 +405,16 @@ class TestFdStencilAgainstOracle:
         geom.eval_vector(ev, F.structure.xi, p)  # constant components
         assert built == []
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5])
+    def test_every_constant_is_a_constant_jet_in_both_modes(self, value):
+        p = np.array([[0.5, 0.1], [-0.3, 0.2], [0.7, 0.3]])
+        want = expr.Jet2.constant(value, (3,), 2)
+        for mode in ("jet", "fd"):
+            got = Evaluator(mode).jet(Const(value), p)
+            for g, w in zip((got.value, got.grad, got.hess),
+                            (want.value, want.grad, want.hess)):
+                assert np.array_equal(g, w, equal_nan=True), mode
+
     def test_domain_error_at_a_sample_point_matches_oracle(self):
         e = parse("log(x)", ["x", "y"])
         p = np.array([[0.5, 0.1], [-1.0, 0.2], [0.7, 0.3]])
@@ -437,6 +447,17 @@ class TestBuilders:
         assert expr.mul(expr.const(0), x) == expr.ZERO
         assert expr.mul(expr.const(1), x) == x
         assert expr.neg(expr.const(2)).value == -2.0
+
+    def test_fold_constants_folds_like_the_field_assembly(self):
+        names = ["x", "y"]
+        assert expr.fold_constants(parse("2*3*x", names)) == expr.mul(
+            expr.const(6.0), expr.coord(0))
+        assert expr.fold_constants(parse("1e200*1e200", names)) == Const(
+            math.inf)
+        assert expr.fold_constants(parse("sin(1 - 1 + y)", names)) == (
+            expr.Unary("sin", expr.coord(1)))
+        e = parse("x/2 + y^3", names)
+        assert expr.fold_constants(e) == e
 
     def test_coords_under_exp(self):
         e = parse("exp(2*t) + x", ["t", "x", "y"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tsgeom import cli, contact, geom, harmonic, product, riemann
 from tsgeom.contact import builtin_factor
-from tsgeom.expr import JET, parse
+from tsgeom.expr import JET, Evaluator, parse
 from tsgeom.geom import sample_points
 from tsgeom.product import (
     DEFAULT_AB_GRID, UnvalidatedFactor, ZeroB, build_product,
@@ -343,6 +343,15 @@ class TestIntegrabilitySamples:
 # forms, the generic values and the Nijenhuis tensor written for one point
 # ---------------------------------------------------------------------------
 
+def _jets(pd, S):
+    """((val, grad) on the product chart, (val, grad) on the factor chart)
+    of one spanning field, read from its factor's stack."""
+    k = next(k for k, T in enumerate(pd.span[S.factor]) if T is S)
+    st = pd.stacks[S.factor]
+    return ((st.val[..., k], st.grad[..., k], None),
+            (st.fval[..., k], st.fgrad[..., k], None))
+
+
 def _quantities(pd, i, w):
     if w == 1:
         return (pd.phi1v[i], pd.xi1v[i], pd.eta1v[i], pd.g1v[i],
@@ -366,13 +375,13 @@ def _embed(pd, w, vec):
 
 
 def _fcov(pd, i, w, X, Y):
-    _, (xv, _, _) = pd.jets(X)
-    _, (yv, yg, _) = pd.jets(Y)
+    _, (xv, _, _) = _jets(pd, X)
+    _, (yv, yg, _) = _jets(pd, Y)
     return _embed(pd, w, _cov_at(pd.factor_md[w], i, xv[i], yv[i], yg[i]))
 
 
 def _fcurv(pd, i, w, U, V, Z):
-    u, v, z = (pd.jets(S)[1][0][i] for S in (U, V, Z))
+    u, v, z = (_jets(pd, S)[1][0][i] for S in (U, V, Z))
     return _embed(pd, w, _curv_at(pd.factor_md[w], i, u, v, z))
 
 
@@ -522,13 +531,13 @@ def _curvature_at(pd, i, U, V, Z, Uval, Vval, Zval):
 def _oracle_tables(pd, which):
     """(families, zero families) of one closed-form report, per point."""
     span = pd.span
-    val = lambda S, i: pd.jets(S)[0][0][i]  # noqa: E731
+    val = lambda S, i: _jets(pd, S)[0][0][i]  # noqa: E731
     norm = lambda i, v: float(np.max(np.abs(  # noqa: E731
         pd.frames[i] @ pd.md.g0[i] @ v)))
     blocks = ((1, 1), (2, 2), (1, 2), (2, 1))
     if which == "connection":
         def cov(i, X, Y):
-            (yv, yg, _), _ = pd.jets(Y)
+            (yv, yg, _), _ = _jets(pd, Y)
             return _cov_at(pd.md, i, val(X, i), yv[i], yg[i])
 
         def closed(i, X, Y):
@@ -573,8 +582,8 @@ def _oracle_tables(pd, which):
     def own_reeb(i, U, V):
         generic, variants = closed(i, U, V, xi[U.factor])
         if U.factor == 1:
-            (uv, ug, _), _ = pd.jets(U)
-            (vv, vg, _), _ = pd.jets(V)
+            (uv, ug, _), _ = _jets(pd, U)
+            (vv, vg, _), _ = _jets(pd, V)
             br = vg[i] @ uv[i] - ug[i] @ vv[i]
             printed = -float(pd.b1[i]) * float(pd.eta1v[i] @ br) * pd.xi1v[i]
         else:
@@ -748,3 +757,237 @@ def test_koszul_matches_the_generic_computation_everywhere(k1, k2, a, b,
         rep = report(JET, P, points, 1e-6)
         for fam, info in rep.details["variant_adjudication"].items():
             assert "koszul" in info["matched"], (rep.name, fam, info)
+
+
+# ---------------------------------------------------------------------------
+# Per-argument oracle: the adjudication as it was before the argument axis,
+# one closed-form call per argument tuple on one-column stacks, with the
+# generic side from the single-vector forms of the riemann kernels
+# ---------------------------------------------------------------------------
+
+def _per_argument_tables(pd, which):
+    """(families, zero families) of one closed-form report: argument tuples
+    of one-column SpanStacks and the closures that evaluate one tuple."""
+    cols = {w: [pd.stacks[w].take([k]) for k in range(len(pd.span[w]))]
+            for w in (1, 2)}
+    g0, frames = pd.md.g0, pd.frames
+    blocks = ((1, 1), (2, 2), (1, 2), (2, 1))
+    if which == "connection":
+        def cov(X, Y):
+            return riemann.cov_vector_at(pd.md, ..., X.val[..., 0],
+                                         Y.val[..., 0],
+                                         Y.grad[..., 0])[:, :, None]
+
+        def closed(X, Y):
+            return cov(X, Y), product.connection_variants(pd, X, Y)
+
+        reebs = (cols[1][0], cols[2][0])
+        return ({f"nabla_X{u}_Y{v}": (
+                    [(X, Y) for X in cols[u] for Y in cols[v]],
+                    ("reference", "koszul"), closed) for u, v in blocks},
+                {"nabla_xi_xi_zero": (
+                    [(X, Y) for X in reebs for Y in reebs],
+                    lambda X, Y: riemann.vector_residual_norm(
+                        g0, frames, cov(X, Y)[..., 0]))})
+    if which == "nabla_j":
+        C0, _ = pd.nabla_J()
+
+        def nabla_XJ(X):
+            return riemann.along(C0, X.val[..., 0])
+
+        def closed(X, Y):
+            return nabla_XJ(X) @ Y.val, product.nabla_j_variants(pd, X, Y)
+
+        names = {(1, 1): ("reference", "reference_single_beta", "koszul"),
+                 (2, 1): ("reference", "reference_beta2", "koszul")}
+        return ({f"nabla_J_X{u}_Y{v}": (
+                    [(X, Y) for X in cols[u] for Y in cols[v]],
+                    names.get((u, v), ("reference", "koszul")), closed)
+                 for u, v in blocks},
+                {"nabla_xiJ_zero": (
+                    [(cols[1][0],), (cols[2][0],)],
+                    lambda X: riemann.endo_residual_norm(g0, frames,
+                                                         nabla_XJ(X)))})
+    (_, xi1, eta1, _, _, b1), (phi2, xi2, _, g2, a2, b2) = pd.factor_columns
+    xi = {w: cols[w][0] for w in (1, 2)}
+
+    def R(U, V, Z):
+        return riemann.curvature_values(
+            pd.md, ..., *(S.val[..., 0] for S in (U, V, Z)))[:, :, None]
+
+    def closed(U, V, Z):
+        return R(U, V, Z), product.curvature_variants(pd, U, V, Z)
+
+    def own_reeb(U, V):
+        generic, variants = closed(U, V, xi[U.factor])
+        if U.factor == 1:
+            br = V.grad[..., 0] @ U.val - U.grad[..., 0] @ V.val
+            printed = -b1 * (eta1 @ br) * xi1
+        else:
+            phiU = phi2 @ U.val
+            phi2V = phi2 @ (phi2 @ V.val)
+            gpp2 = product._inner(phiU, g2, phi2V)
+            gpp3 = product._inner(phiU, g2, phi2 @ phi2V)
+            printed = product._factor_curvature(pd, 2, U, V, xi[2]) + (
+                pd.P.lam * (2 * a2 * b2 * gpp2 - 2 * b2 * b2 * gpp3) * xi2)
+        return generic, {"reference": printed, "koszul": variants["koszul"]}
+
+    def other_reeb(U, V):
+        generic, variants = closed(U, V, xi[3 - U.factor])
+        return generic, {"reference": np.zeros_like(generic),
+                         "koszul": variants["koszul"]}
+
+    dcols = {w: [S for S, F in zip(cols[w], pd.span[w]) if F.in_d]
+             for w in (1, 2)}
+    pairs = {w: [(U, V) for U in dcols[w] for V in dcols[w]] for w in (1, 2)}
+    names = ("reference", "koszul")
+    families = {f"R_U{w}V{w}_Z{z}": (
+        [(U, V, Z) for U, V in pairs[w] for Z in cols[z]], names, closed)
+        for w in (1, 2) for z in (1, 2)}
+    families.update({"R_U1V1_xi1": (pairs[1], names, own_reeb),
+                     "R_U1V1_xi2_zero": (pairs[1], names, other_reeb),
+                     "R_U2V2_xi1_zero": (pairs[2], names, other_reeb),
+                     "R_U2V2_xi2": (pairs[2], names, own_reeb)})
+    return families, {"R_xi1_xi2_zero": (
+        [(Z,) for Z in cols[1] + cols[2]],
+        lambda Z: riemann.vector_residual_norm(
+            g0, frames, R(xi[1], xi[2], Z)[..., 0]))}
+
+
+def _per_argument_adjudicate(pd, name, tol, families, zero_families):
+    """The argument loop: each tuple's (p,) residuals appended in order."""
+    g0, frames = pd.md.g0, pd.frames
+    trackers = {}
+    for fam, (args, names, fn) in families.items():
+        res = {v: [] for v in names}
+        for a in args:
+            generic, variants = fn(*a)
+            for vn, val in variants.items():
+                res[vn].append(riemann.vector_residual_norm(
+                    g0, frames, (generic - val)[..., 0]))
+        trackers[fam] = {v: ResidualTracker.point_major(fam, r, pd.points)
+                         for v, r in res.items()}
+    zero = [ResidualTracker.point_major(fam, [fn(*a) for a in args], pd.points)
+            for fam, (args, fn) in zero_families.items()]
+    best = [min(v.values(), key=lambda t: t.max) for v in trackers.values()]
+    rep = CheckReport.from_trackers(name, tol, best)
+    rep.details["variant_adjudication"] = {
+        fam: {"variants": {k: t.max for k, t in v.items()},
+              "matched": sorted(k for k, t in v.items() if t.max < tol)}
+        for fam, v in trackers.items()}
+    for t in zero:
+        rep.details["families"][t.name] = t.summary()
+    over = [t.max for t in zero if t.max >= tol]
+    if over:
+        rep.max_residual = max(rep.max_residual, *over)
+        rep.verdict = verdict_for(rep.max_residual, tol)
+    return rep
+
+
+def _per_pair_integrability(ev, P, points, tol):
+    """The Nijenhuis norms one coordinate pair at a time."""
+    d = P.dim
+    Jv, Jg, _ = geom.eval_endo(ev, P.J, points)
+    md = riemann.MetricData(ev, P.G, points)
+    frames = riemann.orthonormal_frame_within(
+        md.g0, np.broadcast_to(np.eye(d), md.g0.shape))
+    A = np.einsum("pmi,pkjm->pkij", Jv, Jg)
+    N = (A - A.swapaxes(2, 3) + np.einsum("pkl,plij->pkij", Jv, Jg)
+         - np.einsum("pkl,plji->pkij", Jv, Jg))
+    t = ResidualTracker.point_major("nijenhuis", [
+        riemann.vector_residual_norm(md.g0, frames, N[:, :, i, j])
+        for i, j in zip(*np.triu_indices(d, 1))], points)
+    rep = CheckReport.from_trackers("integrability", tol, [t])
+    rep.details["integrable"] = bool(t.max < tol)
+    return rep
+
+
+def _assert_match(got, want, path="$"):
+    """Equal structure, strings, counts and worst points; floats within
+    1e-14 absolute."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for k in want:
+            _assert_match(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, (list, tuple)) and not path.endswith("worst_point"):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_match(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == want or abs(got - want) <= 1e-14, (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+class TestArgumentAxisAgainstPerArgumentOracle:
+    """Each family evaluated over its argument axis at once against one
+    closed-form call per argument tuple: the same reports, and the same
+    r[argument, point] residuals fed to the trackers in the same order."""
+
+    TOL = 1e-6
+    PAIRS = {"sasakian x kenmotsu": (SAS, KEN),
+             "kenmotsu x sasakian": (KEN, SAS),
+             "cosymplectic x kenmotsu": (FLAT, KEN),
+             "sasakian x kenmotsu_beta2": None}
+
+    @staticmethod
+    def factors(pair, phi_scale=None):
+        if pair is None:
+            F1, F2 = _kenmotsu_beta2()
+        else:
+            F1, F2 = (builtin_factor(n) for n in pair)
+        if phi_scale is not None:
+            F2 = contact.tamper_phi_scale(F2, phi_scale)
+        return F1, F2
+
+    def check(self, monkeypatch, F1, F2, ab, mode, n, broken_j=False):
+        P = build_product(F1, F2, *ab, validate=False, broken_j=broken_j)
+        points = pts(P, n, seed=n)
+        ev = Evaluator(mode)
+        feeds = []
+        point_major = ResidualTracker.point_major.__func__
+
+        def recording(cls, name, r, points, keep=None):
+            feeds.append((name, np.array(r, dtype=float)))
+            return point_major(cls, name, r, points, keep)
+
+        monkeypatch.setattr(ResidualTracker, "point_major",
+                            classmethod(recording))
+        reports = (("connection", connection_closed_form_report),
+                   ("nabla_j", nabla_J_report),
+                   ("curvature", curvature_closed_form_report))
+        for which, report in reports:
+            feeds.clear()
+            got = report(ev, P, points, self.TOL).to_dict()
+            got_feeds = list(feeds)
+            feeds.clear()
+            pd = product.ProductData(ev, P, points)
+            want = _per_argument_adjudicate(
+                pd, got["name"], self.TOL,
+                *_per_argument_tables(pd, which)).to_dict()
+            _assert_match(got, want)
+            assert [f for f, _ in got_feeds] == [f for f, _ in feeds]
+            for (fam, g), (_, w) in zip(got_feeds, feeds):
+                assert g.shape == w.shape, (which, fam)
+                assert np.all(np.abs(g - w) <= 1e-14), (which, fam)
+        _assert_match(integrability_report(ev, P, points, self.TOL).to_dict(),
+                      _per_pair_integrability(ev, P, points, self.TOL
+                                              ).to_dict())
+
+    @pytest.mark.parametrize("pair", list(PAIRS))
+    @pytest.mark.parametrize("ab", DEFAULT_AB_GRID)
+    @pytest.mark.parametrize("mode", ["jet", "fd"])
+    def test_pairs_over_the_ab_grid(self, monkeypatch, pair, ab, mode):
+        self.check(monkeypatch, *self.factors(self.PAIRS[pair]), ab, mode, 7)
+
+    @pytest.mark.parametrize("mode", ["jet", "fd"])
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    def test_modes_and_point_counts(self, monkeypatch, mode, n):
+        self.check(monkeypatch, *self.factors(None), (-2.0, 3.0), mode, n)
+
+    @pytest.mark.parametrize("mode", ["jet", "fd"])
+    def test_tampered_phi_and_broken_j(self, monkeypatch, mode):
+        F1, F2 = self.factors((SAS, KEN), phi_scale=1.1)
+        self.check(monkeypatch, F1, F2, (1.0, 1.0), mode, 7)
+        self.check(monkeypatch, *self.factors((SAS, KEN)), (1.0, 2.0), mode,
+                   7, broken_j=True)

@@ -121,6 +121,22 @@ class TestCurvature:
         one = riemann.curvature_values(md, 5, X[5], Y[5], Z[5])
         assert np.all(np.abs(one - want[5]) <= 1e-12 * np.maximum(1, np.abs(want[5])))
 
+    def test_column_stacks_equal_one_call_per_column(self):
+        pts = geom.sample_points(WARPED, 7, seed=4)
+        md = MetricData(JET, WG, pts)
+        rng = np.random.default_rng(9)
+        X, Y, Z = rng.normal(size=(3, 7, 3, 5))
+        Yg = rng.normal(size=(7, 3, 3, 5))
+        for fn, args in ((riemann.curvature_values, (X, Y, Z)),
+                         (riemann.cov_vector_at, (X, Y, Yg))):
+            got = fn(md, ..., *args)
+            assert got.shape == (7, 3, 5)
+            for n in range(5):
+                want = fn(md, ..., *(a[..., n] for a in args))
+                assert np.all(np.abs(got[..., n] - want) <= 1e-14), fn
+            one = fn(md, 2, *(a[2] for a in args))
+            assert np.all(np.abs(one - got[2]) <= 1e-14), fn
+
     def test_cov_vector_jet_over_points_equals_single_calls(self):
         pts = geom.sample_points(WARPED, 6, seed=2)
         md = MetricData(JET, WG, pts)
@@ -448,8 +464,12 @@ class TestFrames:
                  [riemann.endo_residual_norm(g0[i][None], frames[i][None],
                                              A[i][None])[0]
                   for i in range(p)])):
-            assert batched.shape == (p,)
-            assert batched == pytest.approx(single, rel=1e-13)
+            assert batched.shape == (p,) + single[0].shape
+            assert batched == pytest.approx(np.array(single), rel=1e-13)
+        # a stack of columns gives one maximum per column
+        assert riemann.vector_residual_norm(g0, frames, cols) == pytest.approx(
+            np.stack([riemann.vector_residual_norm(g0, frames, cols[..., n])
+                      for n in range(3)], axis=1), rel=1e-13)
 
     def test_dependent_preferred_raises(self):
         with pytest.raises(DependentPreferredVectors):
