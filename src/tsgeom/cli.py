@@ -391,25 +391,21 @@ def run(mf) -> dict:
         rep.name = name
         checks_out.append(rep)
 
+    # the reports of a per-factor check, run in order for each factor
+    per_factor = {
+        "axioms": {"axioms": lambda ev, F, pts, tol: validate_axioms(
+            ev, F.structure, pts, tol)},
+        "trans_sasakian": {"trans_sasakian": verify_trans_sasakian},
+        "transverse": {"transverse_properties": transverse_properties_report,
+                       "transverse_curvature": transverse_curvature_report},
+    }
     for check in mf["checks"]:
-        if check == "axioms":
+        if check in per_factor:
             for tag, F in factor_list:
-                run_one(f"axioms[{tag}]",
-                        lambda F=F, tag=tag: validate_axioms(
-                            ev, F.structure, factor_points(tag, F), tol))
-        elif check == "trans_sasakian":
-            for tag, F in factor_list:
-                run_one(f"trans_sasakian[{tag}]",
-                        lambda F=F, tag=tag: verify_trans_sasakian(
-                            ev, F, factor_points(tag, F), tol))
-        elif check == "transverse":
-            for tag, F in factor_list:
-                run_one(f"transverse_properties[{tag}]",
-                        lambda F=F, tag=tag: transverse_properties_report(
-                            ev, F, factor_points(tag, F), tol))
-                run_one(f"transverse_curvature[{tag}]",
-                        lambda F=F, tag=tag: transverse_curvature_report(
-                            ev, F, factor_points(tag, F), tol))
+                for name, impl in per_factor[check].items():
+                    run_one(f"{name}[{tag}]",
+                            lambda F=F, tag=tag, impl=impl: impl(
+                                ev, F, factor_points(tag, F), tol))
         elif check == "table1":
             run_one("table1", lambda: table1_suite(
                 ev, tol, samples=mf["count"], seed=mf["seed"],
@@ -519,12 +515,16 @@ def _apply_flags(mf, args):
     return mf
 
 
-def _finish(report_dict, args) -> int:
-    text = emit(report_dict, args.format)
+def _write(text, args):
+    """Write text to --out, else to stdout."""
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _finish(report_dict, args) -> int:
+    _write(emit(report_dict, args.format), args)
     return exit_code_for(report_dict)
 
 
@@ -579,21 +579,14 @@ def main(argv=None) -> int:
                         f"{info.get('alpha', '')} | {info.get('beta', '')} | "
                         f"{info.get('fit_residual', '')} | {info.get('class')}")
                 text = "\n".join(lines) + "\n"
-            if args.out:
-                Path(args.out).write_text(text)
-            else:
-                sys.stdout.write(text)
+            _write(text, args)
             return exit_code_for(rep)
         if args.command == "report":
             try:
                 data = json.loads(Path(args.report_file).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ManifestError("$", f"cannot read report: {exc}")
-            text = emit(data, args.format)
-            if args.out:
-                Path(args.out).write_text(text)
-            else:
-                sys.stdout.write(text)
+            _write(emit(data, args.format), args)
             return EXIT_OK
     except ManifestError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -209,6 +209,12 @@ def eval_scalar(ev: Evaluator, e: Expression, points):
     return _eval_comps(ev, e, points)
 
 
+def scalar_values(ev: Evaluator, e: Expression, points):
+    """The values of a scalar expression as a (p,) stack over the points."""
+    v = np.asarray(ev.value(e, points), dtype=float)
+    return np.broadcast_to(v, (points.shape[0],))
+
+
 def eval_vector(ev: Evaluator, X: VectorField, points):
     """Stacked jets: val[..., k], grad[..., k, m] = d_m X^k, hess[..., k, m, n]."""
     return _eval_comps(ev, X.comps, points)

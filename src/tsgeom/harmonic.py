@@ -327,9 +327,7 @@ def astheno_residual(ev: Evaluator, P: ProductHermitian, points, tol, *,
     if m == 2:
         return CheckReport("astheno", tol, 0.0, 0.0, None, "pass",
                            details={"m_complex": 2})
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if check_integrable:
         smoke = pts[: min(8, pts.shape[0])]
         rep = integrability_report(ev, P, smoke, max(tol, 1e-6))

@@ -30,7 +30,10 @@ from .geom import (
     coordinate_field, endo_apply_field, endo_field, metric_field,
     vector_field,
 )
-from .report import CheckReport, ResidualTracker, verdict_for
+from .report import (
+    CheckReport, ResidualTracker, column_trackers, verdict_for,
+)
+from .riemann import inner
 
 
 class ProductError(Exception):
@@ -65,9 +68,9 @@ class EmbeddedFactor:
         return slice(self.offset, self.offset + self.dim)
 
 
-def _embed_factor(F: TransSasakianFactor, offset: int, total: int, idx: int
-                  ) -> EmbeddedFactor:
-    d = F.chart.dim
+def _embed_factor(F: TransSasakianFactor, offset: int, ch: ChartDomain,
+                  idx: int) -> EmbeddedFactor:
+    d, total = F.chart.dim, ch.dim
     Z = expr.ZERO
 
     def sh(e):
@@ -86,10 +89,9 @@ def _embed_factor(F: TransSasakianFactor, offset: int, total: int, idx: int
         eta[offset + i] = sh(F.structure.eta.comps[i])
     return EmbeddedFactor(
         index=idx, source=F, offset=offset, dim=d,
-        phi=None, xi=None,  # filled by caller once the chart exists
+        phi=endo_field(ch, phi), xi=vector_field(ch, xi),
         eta=tuple(eta), gblk=tuple(tuple(r) for r in gblk),
-        alpha=sh(F.alpha), beta=sh(F.beta),
-    ), tuple(r for r in phi), tuple(xi)
+        alpha=sh(F.alpha), beta=sh(F.beta))
 
 
 @dataclass
@@ -155,12 +157,8 @@ def build_product(f1: TransSasakianFactor, f2: TransSasakianFactor,
     box = f1.chart.box + f2.chart.box
     ch = ChartDomain(total, names, box)
 
-    emb1, phi1_rows, xi1_comps = _embed_factor(f1, 0, total, 1)
-    emb2, phi2_rows, xi2_comps = _embed_factor(f2, d1, total, 2)
-    emb1.phi = endo_field(ch, phi1_rows)
-    emb1.xi = vector_field(ch, xi1_comps)
-    emb2.phi = endo_field(ch, phi2_rows)
-    emb2.xi = vector_field(ch, xi2_comps)
+    emb1 = _embed_factor(f1, 0, ch, 1)
+    emb2 = _embed_factor(f2, d1, ch, 2)
 
     lam = a * a + b * b - 1.0
     b_xi2 = 2.0 * b if broken_j else b
@@ -173,11 +171,11 @@ def build_product(f1: TransSasakianFactor, f2: TransSasakianFactor,
         for j in range(total):
             t = expr.add(emb1.phi.comps[i][j], emb2.phi.comps[i][j])
             t = expr.add(t, expr.mul(
-                xi1_comps[i],
+                emb1.xi.comps[i],
                 expr.add(expr.mul(C(-a / b), emb1.eta[j]),
                          expr.mul(C(-(a * a + b * b) / b), emb2.eta[j]))))
             t = expr.add(t, expr.mul(
-                xi2_comps[i],
+                emb2.xi.comps[i],
                 expr.add(expr.mul(C(1.0 / b_xi2), emb1.eta[j]),
                          expr.mul(C(a / b_xi2), emb2.eta[j]))))
             Jrows[i][j] = t
@@ -213,8 +211,6 @@ class SpanField:
     label: str
     factor: int  # 1 or 2
     product_field: VectorField
-    factor_field: VectorField  # on the factor chart
-    is_reeb: bool = False
     in_d: bool = False
 
 
@@ -225,35 +221,35 @@ def spanning_fields(P: ProductHermitian, factor: int):
     are dropped; they add nothing to the span.
     """
     emb = P.e1 if factor == 1 else P.e2
-    F = emb.source
-    out = [SpanField(f"xi{factor}", factor, emb.xi, F.structure.xi,
-                     is_reeb=True)]
-    for c in range(F.chart.dim):
-        ff = endo_apply_field(F.structure.phi, coordinate_field(F.chart, c))
-        if all(cmp == expr.ZERO for cmp in ff.comps):
-            continue
+    out = [SpanField(f"xi{factor}", factor, emb.xi)]
+    for c in range(emb.dim):
         pf = endo_apply_field(emb.phi, coordinate_field(P.chart, emb.offset + c))
-        out.append(SpanField(f"phi{factor}(d{c})", factor, pf, ff, in_d=True))
+        if all(cmp == expr.ZERO for cmp in pf.comps):
+            continue
+        out.append(SpanField(f"phi{factor}(d{c})", factor, pf, in_d=True))
     return out
 
 
 @dataclass
 class SpanStack:
     """Spanning fields of one factor, stacked over a trailing argument axis:
-    the columns idx (A of them) of fields = (val, grad, fval, fgrad), the
+    the columns idx (A of them) of fields = (val, grad), the product-chart
     arrays of every spanning field of the factor. An array is gathered only
     when it is read, so a family copies only what its closed forms use:
-    product-chart values val (p, d, A) and gradients grad (p, d, d, A) with
-    grad[:, k, m] = d_m X^k, factor-chart values fval (p, d_w, A) and
-    gradients fgrad (p, d_w, d_w, A)."""
+    values val (p, d, A) and gradients grad (p, d, d, A) with
+    grad[:, k, m] = d_m X^k. A spanning field depends only on the
+    coordinates of its factor's block and vanishes outside it, so its
+    factor-chart values fval (p, d_w, A) and gradients fgrad
+    (p, d_w, d_w, A) are the block of val and grad."""
 
     factor: int  # 1 or 2
+    block: slice
     fields: tuple
     idx: np.ndarray
 
     def take(self, idx):
         """The stack of the arguments idx, indices along the argument axis."""
-        return SpanStack(self.factor, self.fields, self.idx[idx])
+        return SpanStack(self.factor, self.block, self.fields, self.idx[idx])
 
     @property
     def val(self):
@@ -265,11 +261,11 @@ class SpanStack:
 
     @property
     def fval(self):
-        return self.fields[2][..., self.idx]
+        return self.fields[0][:, self.block][..., self.idx]
 
     @property
     def fgrad(self):
-        return self.fields[3][..., self.idx]
+        return self.fields[1][:, self.block, self.block][..., self.idx]
 
 
 def _argument_grid(*stacks):
@@ -287,9 +283,7 @@ class ProductData:
     """
 
     def __init__(self, ev: Evaluator, P: ProductHermitian, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         self.ev = ev
         self.P = P
         self.points = pts
@@ -307,15 +301,11 @@ class ProductData:
         g2f = geom.endo_field(P.chart, P.e2.gblk)
         self.g1v, _, _ = geom.eval_endo(ev, g1f, pts)
         self.g2v, _, _ = geom.eval_endo(ev, g2f, pts)
-        self.a1 = self._scalar(P.e1.alpha)
-        self.b1 = self._scalar(P.e1.beta)
-        self.a2 = self._scalar(P.e2.alpha)
-        self.b2 = self._scalar(P.e2.beta)
+        self.a1 = geom.scalar_values(ev, P.e1.alpha, pts)
+        self.b1 = geom.scalar_values(ev, P.e1.beta, pts)
+        self.a2 = geom.scalar_values(ev, P.e2.alpha, pts)
+        self.b2 = geom.scalar_values(ev, P.e2.beta, pts)
         self._CJ = None
-
-    def _scalar(self, e):
-        v = np.asarray(self.ev.value(e, self.points), dtype=float)
-        return np.broadcast_to(v, (self.points.shape[0],))
 
     @cached_property
     def factor_md(self):
@@ -335,12 +325,10 @@ class ProductData:
         """{factor: SpanStack of its spanning fields, in span order}."""
         out = {}
         for w, fields in self.span.items():
-            fpts = self.P.factor_point(w, self.points)
             jets = [geom.eval_vector(self.ev, S.product_field, self.points)[:2]
-                    + geom.eval_vector(self.ev, S.factor_field, fpts)[:2]
                     for S in fields]
-            out[w] = SpanStack(w, tuple(np.stack(a, axis=-1)
-                                        for a in zip(*jets)),
+            out[w] = SpanStack(w, (self.P.e1 if w == 1 else self.P.e2).block,
+                               tuple(np.stack(a, axis=-1) for a in zip(*jets)),
                                np.arange(len(fields)))
         return out
 
@@ -383,11 +371,6 @@ class ProductData:
                 (self.phi2v, self.xi2v, self.eta2v, self.g2v, self.a2, self.b2)))
 
 
-def _inner(X, g, Y):
-    """g(X, Y) column by column for (p, d, A) stacks, as (p, 1, A)."""
-    return np.sum(X * (g @ Y), axis=1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form variants: connection
 # ---------------------------------------------------------------------------
@@ -427,7 +410,7 @@ def connection_variants(pd: ProductData, X: SpanStack, Y: SpanStack):
     case = (X.factor, Y.factor)
     if case == (1, 1):
         base = _factor_cov(pd, 1, X, Y)
-        B1 = b1 * _inner(phi1 @ Xval, g1, phi1 @ Yval)
+        B1 = b1 * inner(phi1 @ Xval, g1, phi1 @ Yval)
         return {
             "reference": base,
             "koszul": base + (a / b ** 2) * B1 * (-a * xi1 + xi2),
@@ -435,7 +418,7 @@ def connection_variants(pd: ProductData, X: SpanStack, Y: SpanStack):
     if case == (2, 2):
         base = _factor_cov(pd, 2, X, Y)
         eX, eY = eta2 @ Xval, eta2 @ Yval
-        B2 = b2 * _inner(phi2 @ Xval, g2, phi2 @ Yval)
+        B2 = b2 * inner(phi2 @ Xval, g2, phi2 @ Yval)
         ref = base - lam * (eX * (a2 * (phi2 @ Yval) + b2 * (phi2 @ (phi2 @ Yval)))
                             + eY * (a2 * (phi2 @ Xval) + b2 * (phi2 @ (phi2 @ Xval))))
         kos = (base
@@ -469,13 +452,13 @@ def nabla_j_variants(pd: ProductData, X: SpanStack, Y: SpanStack):
     case = (X.factor, Y.factor)
     if case in ((1, 1), (2, 2)):
         phi, g, eta = (phi1, g1, eta1) if case == (1, 1) else (phi2, g2, eta2)
-        gXY = _inner(Xval, g, Yval)
+        gXY = inner(Xval, g, Yval)
         eX, eY = eta @ Xval, eta @ Yval
         phiX = phi @ Xval
         phi2X = phi @ phiX
-        PhiXY = _inner(Xval, g, phi @ Yval)
-        gpp = _inner(phiX, g, phi @ Yval)
-        gphiXY = _inner(phiX, g, Yval)
+        PhiXY = inner(Xval, g, phi @ Yval)
+        gpp = inner(phiX, g, phi @ Yval)
+        gphiXY = inner(phiX, g, Yval)
     if case == (1, 1):
         common = (a1 * gXY * xi1 - a1 * eY * Xval
                   + b1 * gphiXY * xi1 - b1 * eY * phiX
@@ -537,7 +520,7 @@ def curvature_variants(pd: ProductData, U: SpanStack, V: SpanStack,
         pd.factor_columns)
     uf = U.factor
     if uf == 1:
-        PhiUV = _inner(Uval, g1, phi1 @ Vval)
+        PhiUV = inner(Uval, g1, phi1 @ Vval)
         if Z.factor == 1:
             base = _factor_curvature(pd, 1, U, V, Z)
             eZ = eta1 @ Zval
@@ -545,8 +528,8 @@ def curvature_variants(pd: ProductData, U: SpanStack, V: SpanStack,
             kos = (base
                    - (2 * a * a1 * b1 / b ** 2) * PhiUV * eZ * (-a * xi1 + xi2)
                    - (a * a * b1 * b1 / b ** 2) * (
-                       _inner(phi1 @ Vval, g1, phi1 @ Zval) * Uval
-                       - _inner(phi1 @ Uval, g1, phi1 @ Zval) * Vval))
+                       inner(phi1 @ Vval, g1, phi1 @ Zval) * Uval
+                       - inner(phi1 @ Uval, g1, phi1 @ Zval) * Vval))
             return {"reference": ref, "koszul": kos}
         eZ = eta2 @ Zval
         phi2Z = phi2 @ Zval
@@ -557,7 +540,7 @@ def curvature_variants(pd: ProductData, U: SpanStack, V: SpanStack,
                    ((a * a + b * b) / b ** 2) * xi1 - (a / b ** 2) * xi2))
         return {"reference": ref, "koszul": kos}
     # U, V in factor 2
-    PhiUV = _inner(Uval, g2, phi2 @ Vval)
+    PhiUV = inner(Uval, g2, phi2 @ Vval)
     if Z.factor == 1:
         eZ = eta1 @ Zval
         phi1Z = phi1 @ Zval
@@ -570,8 +553,8 @@ def curvature_variants(pd: ProductData, U: SpanStack, V: SpanStack,
     base = _factor_curvature(pd, 2, U, V, Z)
     eZ = eta2 @ Zval
     phiU, phiV, phiZ = phi2 @ Uval, phi2 @ Vval, phi2 @ Zval
-    PhiVZ, PhiUZ = _inner(Vval, g2, phiZ), _inner(Uval, g2, phiZ)
-    gppVZ, gppUZ = _inner(phiV, g2, phiZ), _inner(phiU, g2, phiZ)
+    PhiVZ, PhiUZ = inner(Vval, g2, phiZ), inner(Uval, g2, phiZ)
+    gppVZ, gppUZ = inner(phiV, g2, phiZ), inner(phiU, g2, phiZ)
     ref = base + lam * (
         PhiVZ * (a2 * phiU + b2 * (phi2 @ phiU))
         - PhiUZ * (a2 * phiV + b2 * (phi2 @ phiV))
@@ -608,8 +591,7 @@ def _adjudicate(pd: ProductData, name, tol, families, zero_families):
                   pd.points)
               for v, val in variants.items()}
         for fam, generic, variants in families}
-    zero = [ResidualTracker.point_major(fam, r.T, pd.points)
-            for fam, r in zero_families.items()]
+    zero = column_trackers(zero_families, pd.points)
 
     best = [min(v.values(), key=lambda t: t.max) for v in trackers.values()]
     rep = CheckReport.from_trackers(name, tol, best)
@@ -706,14 +688,13 @@ def curvature_closed_form_report(ev: Evaluator, P: ProductHermitian, points,
         Z = xi(w, len(U.idx))
         generic, variants = closed(U, V, Z)
         if w == 1:
-            br = (np.sum(V.grad * U.val[:, None], axis=2)
-                  - np.sum(U.grad * V.val[:, None], axis=2))
+            br = riemann.bracket(U.val, U.grad, V.val, V.grad)
             printed = -b1 * (eta1 @ br) * xi1
         else:
             phiU = phi2 @ U.val
             phi2V = phi2 @ (phi2 @ V.val)
-            gpp2 = _inner(phiU, g2, phi2V)
-            gpp3 = _inner(phiU, g2, phi2 @ phi2V)
+            gpp2 = inner(phiU, g2, phi2V)
+            gpp3 = inner(phiU, g2, phi2 @ phi2V)
             printed = _factor_curvature(pd, 2, U, V, Z) + P.lam * (
                 2 * a2 * b2 * gpp2 - 2 * b2 * b2 * gpp3) * xi2
         return generic, {"reference": printed, "koszul": variants["koszul"]}
@@ -758,9 +739,7 @@ def integrability_report(ev: Evaluator, P: ProductHermitian, points, tol
     On a chart [d_i, d_j] = 0, [J d_i, d_j] = -d_j(J d_i) and
     [d_i, J d_j] = d_i(J d_j), so N(d_i, d_j) comes from the jet of J alone.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = P.dim
     Jv, Jg, _ = geom.eval_endo(ev, P.J, pts)
     md = riemann.MetricData(ev, P.G, pts)

@@ -153,6 +153,16 @@ class ResidualTracker:
         }
 
 
+def column_trackers(families, points, keep=None):
+    """One tracker per family of {name: (p, ..., A) residual stack} over the
+    points and A argument tuples, fed point-major with the arguments in
+    order (see ResidualTracker.point_major); keep (p, A), when given, drops
+    the samples where it is False."""
+    return [ResidualTracker.point_major(name, np.moveaxis(r, -1, 0), points,
+                                        None if keep is None else keep.T)
+            for name, r in families.items()]
+
+
 @dataclass
 class CheckReport:
     """Residual statistics and verdict for one named identity family."""

@@ -62,9 +62,7 @@ class MetricData:
     """Metric, inverse and Christoffel jets at a batch of points."""
 
     def __init__(self, ev: Evaluator, g: MetricField, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         self.points = pts
         self.g0, self.g1, self.g2 = geom.eval_metric(ev, g, pts)
         eigs = np.linalg.eigvalsh(self.g0)
@@ -176,17 +174,34 @@ def cov_vector_jet(md: MetricData, i, Xval, Xgrad, Yval, Ygrad, Yhess):
 
     Returns (W, dW) with W^k and dW[k, n] = d_n W^k; X, Y enter as
     (value, gradient[, Hessian]) data of vector fields at the point, or as
-    (p, d), (p, d, d) and (p, d, d, d) stacks.
+    (p, d), (p, d, d) and (p, d, d, d) stacks. With a trailing axis of N
+    columns on all five, it gives (W, dW) column by column.
     """
     G0 = md.gamma0[i]
     G1 = md.gamma1[i]
-    inner = Ygrad + np.einsum("...kij,...j->...ki", G0, Yval)  # d_i Y^k + Gamma Y
-    W = np.einsum("...ki,...i->...k", inner, Xval)
-    dW = (np.einsum("...in,...ki->...kn", Xgrad, inner)
-          + np.einsum("...i,...kin->...kn", Xval, Yhess)
-          + np.einsum("...i,...kijn,...j->...kn", Xval, G1, Yval)
-          + np.einsum("...i,...kij,...jn->...kn", Xval, G0, Ygrad))
+    c = "c" if Xval.ndim == G0.ndim - 1 else ""
+    # nY[k, i] = d_i Y^k + Gamma^k_ij Y^j
+    nY = Ygrad + np.einsum(f"...kij,...j{c}->...ki{c}", G0, Yval)
+    W = np.einsum(f"...ki{c},...i{c}->...k{c}", nY, Xval)
+    dW = (np.einsum(f"...in{c},...ki{c}->...kn{c}", Xgrad, nY)
+          + np.einsum(f"...i{c},...kin{c}->...kn{c}", Xval, Yhess)
+          + np.einsum(f"...i{c},...kijn,...j{c}->...kn{c}", Xval, G1, Yval)
+          + np.einsum(f"...i{c},...kij,...jn{c}->...kn{c}", Xval, G0, Ygrad))
     return W, dW
+
+
+def inner(X, g, Y):
+    """g(X, Y) column by column for (p, d, N) stacks X, Y and a (p, d, d)
+    metric stack, as (p, 1, N)."""
+    return np.sum(X * (g @ Y), axis=1, keepdims=True)
+
+
+def bracket(X, Xgrad, Y, Ygrad):
+    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k column by column, from (p, d, N)
+    value and (p, d, d, N) gradient stacks with grad[:, k, i] = d_i X^k.
+    A stack of one column broadcasts against N."""
+    return (np.sum(Ygrad * X[:, None], axis=2)
+            - np.sum(Xgrad * Y[:, None], axis=2))
 
 
 def nabla_endo_all(md: MetricData, Aval, Agrad, Ahess):

@@ -300,6 +300,28 @@ class TestEmitAndMain:
         assert c2["class"] == "kenmotsu"
         assert abs(c2["beta"] - 1.0) < 1e-7
 
+    @pytest.mark.parametrize("command", ["verify", "classify", "report"])
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_out_file_holds_what_stdout_shows(self, tmp_path, capsys,
+                                              command, fmt):
+        m = write_manifest(tmp_path, dict(MINIMAL, sampling={"count": 2},
+                                          checks=["axioms"]))
+        saved = tmp_path / "saved.json"
+        main(["verify", m, "--out", str(saved)])
+        capsys.readouterr()
+        args = [command, str(saved) if command == "report" else m,
+                "--format", fmt]
+        code = main(args)
+        shown = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main(args + ["--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        written = out.read_text()
+        if command == "verify" and fmt == "json":  # timings differ per run
+            shown, written = (report.strip_timings(json.loads(t))
+                              for t in (shown, written))
+        assert shown and written == shown
+
     def test_ab_flag_overrides_grid(self, tmp_path):
         m = write_manifest(tmp_path, dict(MINIMAL, sampling={"count": 4}))
         out = tmp_path / "r.json"

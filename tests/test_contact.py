@@ -588,13 +588,39 @@ def _kenmotsu_beta2():
     return cli.load_manifest(path)["factors"][1]
 
 
+def _phi_vanishing_on_x0():
+    """A factor whose D-span columns phi(d_x) = x d_y and phi(d_y) = -x d_x
+    vanish on the plane x = 0 and nowhere else, so the transverse curvature
+    samples of a point there are dropped while the other points keep them.
+    Not trans-Sasakian; the batched and per-point reports must still agree."""
+    names = ("x", "y", "z")
+    ch = geom.chart(names)
+
+    def rows(m):
+        return [[parse(c, names) for c in row] for row in m]
+
+    S = contact.AlmostContactMetricStructure(
+        ch, geom.endo_field(ch, rows([["0", "-x", "0"], ["x", "0", "0"],
+                                      ["0", "0", "0"]])),
+        vector_field(ch, [parse(c, names) for c in ("0", "0", "1")]),
+        geom.one_form_field(ch, [parse(c, names) for c in ("0", "0", "1")]),
+        geom.metric_field(ch, rows([["1", "0", "0"], ["0", "1", "0"],
+                                    ["0", "0", "1"]])),
+        name="phi_vanishing_on_x0")
+    return contact.TransSasakianFactor(S, parse("0", names),
+                                       parse("0", names), "unverified")
+
+
 ORACLE_FACTORS = list(contact.BUILTIN_NAMES) + ["kenmotsu_beta2",
-                                                "sasakian_heisenberg~phi*1.1"]
+                                                "sasakian_heisenberg~phi*1.1",
+                                                "phi_vanishing_on_x0"]
 
 
 def _oracle_factor(name):
     if name == "kenmotsu_beta2":
         return _kenmotsu_beta2()
+    if name == "phi_vanishing_on_x0":
+        return _phi_vanishing_on_x0()
     if name.endswith("~phi*1.1"):
         return tamper_phi_scale(builtin_factor(name.split("~")[0]), 1.1)
     return builtin_factor(name)
@@ -632,7 +658,10 @@ class TestBatchedAgainstPointwiseOracle:
 
     def _inputs(self, name, mode):
         F = _oracle_factor(name)
-        return F, Evaluator(mode), pts(F, 8, seed=11)
+        p = pts(F, 8, seed=11)
+        if name == "phi_vanishing_on_x0":
+            p[3, 0] = 0.0  # one point on the plane where phi vanishes
+        return F, Evaluator(mode), p
 
     def test_axioms(self, name, mode):
         F, ev, p = self._inputs(name, mode)
@@ -688,3 +717,42 @@ def test_one_metric_build_per_check(monkeypatch, factors, check):
     F = factors["sasakian_heisenberg"]
     check(F, pts(F, 16))
     assert len(builds) == 1
+
+
+def test_partial_keep_drops_only_the_point_on_the_plane():
+    """Only the pair (phi d_x, phi d_y) is live, and not at the point on
+    x = 0: the curvature families keep 2 triples at each other point."""
+    F = _phi_vanishing_on_x0()
+    p = pts(F, 8, seed=11)
+    p[3, 0] = 0.0
+    fams = transverse_curvature_report(JET, F, p, 1e-7).details["families"]
+    assert {f["samples"] for f in fams.values()} == {2 * 7}
+
+
+@pytest.mark.parametrize("report", [transverse_properties_report,
+                                    transverse_curvature_report])
+def test_transverse_reports_walk_no_structure_expression_again(
+        monkeypatch, factors, report):
+    """The D-span comes from StructureData's phi jets: after StructureData,
+    no Evaluator.jet call walks an expression that it has walked."""
+    walked, inside = [], []
+    jet, init = Evaluator.jet, contact.StructureData.__init__
+
+    def counted_jet(self, e, points, **kwargs):
+        walked.append((e, bool(inside)))
+        return jet(self, e, points, **kwargs)
+
+    def structure(self, *args, **kwargs):
+        inside.append(True)
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Evaluator, "jet", counted_jet)
+    monkeypatch.setattr(contact.StructureData, "__init__", structure)
+    F = factors["sasakian_heisenberg"]
+    report(JET, F, pts(F, 16), 1e-7)
+    seen = {e for e, ins in walked if ins}
+    assert seen
+    assert [e for e, ins in walked if not ins and e in seen] == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsgeom import cli, contact, geom, harmonic, product, riemann
+from tsgeom import cli, contact, expr, geom, harmonic, product, riemann
 from tsgeom.contact import builtin_factor
 from tsgeom.expr import JET, Evaluator, parse
 from tsgeom.geom import sample_points
@@ -826,8 +826,8 @@ def _per_argument_tables(pd, which):
         else:
             phiU = phi2 @ U.val
             phi2V = phi2 @ (phi2 @ V.val)
-            gpp2 = product._inner(phiU, g2, phi2V)
-            gpp3 = product._inner(phiU, g2, phi2 @ phi2V)
+            gpp2 = riemann.inner(phiU, g2, phi2V)
+            gpp3 = riemann.inner(phiU, g2, phi2 @ phi2V)
             printed = product._factor_curvature(pd, 2, U, V, xi[2]) + (
                 pd.P.lam * (2 * a2 * b2 * gpp2 - 2 * b2 * b2 * gpp3) * xi2)
         return generic, {"reference": printed, "koszul": variants["koszul"]}
@@ -991,3 +991,45 @@ class TestArgumentAxisAgainstPerArgumentOracle:
         self.check(monkeypatch, F1, F2, (1.0, 1.0), mode, 7)
         self.check(monkeypatch, *self.factors((SAS, KEN)), (1.0, 2.0), mode,
                    7, broken_j=True)
+
+
+# ---------------------------------------------------------------------------
+# Factor-chart oracle: each spanning field evaluated again on its factor
+# chart, at the factor's slice of the product points
+# ---------------------------------------------------------------------------
+
+def _factor_chart_span(F):
+    """The spanning fields of a factor on its own chart: xi, then the
+    phi(d_c) that are not identically zero there."""
+    S = F.structure
+    images = [geom.endo_apply_field(S.phi, geom.coordinate_field(F.chart, c))
+              for c in range(F.chart.dim)]
+    return [S.xi] + [X for X in images
+                     if not all(e == expr.ZERO for e in X.comps)]
+
+
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+@pytest.mark.parametrize("pair", [(SAS, KEN), (KEN, SAS), (FLAT, KEN), None],
+                         ids=["sas-ken", "ken-sas", "flat-ken",
+                              "sas-kenmotsu_beta2"])
+def test_factor_chart_stacks_are_blocks_of_the_product_chart(pair, mode):
+    F1, F2 = (_kenmotsu_beta2() if pair is None
+              else [builtin_factor(n) for n in pair])
+    P = build_product(F1, F2, -2.0, 3.0, validate=False)
+    ev = Evaluator(mode)
+    pd = product.ProductData(ev, P, pts(P, 32))
+    for w, F in ((1, F1), (2, F2)):
+        st = pd.stacks[w]
+        blk = (P.e1 if w == 1 else P.e2).block
+        fields = _factor_chart_span(F)
+        assert len(fields) == len(pd.span[w])
+        fv, fg, _ = (np.stack(a, axis=-1) for a in zip(*(
+            geom.eval_vector(ev, X, P.factor_point(w, pd.points))
+            for X in fields)))
+        assert np.array_equal(st.fval, fv)
+        assert np.array_equal(st.fgrad, fg)
+        # zero outside the block, in the values and in both gradient axes
+        out = np.ones(P.dim, bool)
+        out[blk] = False
+        assert not st.val[:, out].any()
+        assert not st.grad[:, out].any() and not st.grad[:, :, out].any()
