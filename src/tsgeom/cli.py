@@ -161,7 +161,7 @@ def _load_custom_factor(block, path):
             and len(set(coords)) == dim,
             f"{path}.coords", f"need {dim} distinct coordinate names")
 
-    def matrix(key, symmetric=False):
+    def matrix(key):
         rows = block[key]
         _expect(isinstance(rows, list) and len(rows) == dim,
                 f"{path}.{key}", f"expected {dim} rows")
@@ -409,7 +409,7 @@ def run(mf) -> dict:
         elif check == "table1":
             run_one("table1", lambda: table1_suite(
                 ev, tol, samples=mf["count"], seed=mf["seed"],
-                ab_grid=tuple(mf["ab_grid"])))
+                ab_grid=tuple(mf["ab_grid"]), broken_j=mf["broken_j"]))
         else:
             per_product = {
                 "connection": connection_closed_form_report,

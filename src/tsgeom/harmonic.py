@@ -292,28 +292,20 @@ def kahler_form_field(P: ProductHermitian) -> KFormField:
 
 
 def _pullback_field(J: geom.EndomorphismField, omega: KFormField) -> KFormField:
-    """Expression-level pullback (J* omega)_I = sum_K omega_K det(J[K, I])."""
-    d = omega.chart.dim
-    k = omega.degree
+    """Expression-level pullback of a 2-form,
+    (J* omega)_ij = sum_{k<l} omega_kl (J_ki J_lj - J_li J_kj)."""
     idxs = omega.indices()
-    from itertools import permutations
-    perms = [(perm, geom._perm_sign(perm)[0] < 0)
-             for perm in permutations(range(k))]
     out = []
-    for I in idxs:
+    for i, j in idxs:
         total = expr.ZERO
-        for s, K in enumerate(idxs):
+        for s, (k, l) in enumerate(idxs):
             if omega.comps[s] == expr.ZERO:
                 continue
-            det = expr.ZERO
-            for perm, odd in perms:
-                term = expr.ONE
-                for r in range(k):
-                    term = expr.mul(term, J.comps[K[perm[r]]][I[r]])
-                det = expr.add(det, expr.neg(term) if odd else term)
+            det = expr.add(expr.mul(J.comps[k][i], J.comps[l][j]),
+                           expr.neg(expr.mul(J.comps[l][i], J.comps[k][j])))
             total = expr.add(total, expr.mul(omega.comps[s], det))
         out.append(total)
-    return KFormField(omega.chart, k, tuple(out))
+    return KFormField(omega.chart, 2, tuple(out))
 
 
 def astheno_residual(ev: Evaluator, P: ProductHermitian, points, tol, *,
@@ -334,15 +326,15 @@ def astheno_residual(ev: Evaluator, P: ProductHermitian, points, tol, *,
         if rep.verdict != "pass":
             raise NotIntegrable(
                 f"Nijenhuis residual {rep.max_residual:.3e} at tol {tol}")
-    omega = kahler_form_field(P)
-    gamma = geom.wedge_power_field(omega, m - 2)
-    jg = _pullback_field(P.J, gamma)  # J-pullback of gamma, expressions
+    # J* is an algebra homomorphism: J*(Omega^(m-2)) = (J*Omega)^(m-2)
+    jg = geom.wedge_power_field(_pullback_field(P.J, kahler_form_field(P)),
+                                m - 2)
     k1 = jg.degree + 1
     Jv, Jg, _ = geom.eval_endo(ev, P.J, pts)
     # batched form jets: the pullback components are large expressions, so
     # walk them once for all points
     _, grads, hesses = geom.eval_form(ev, jg, pts)
-    # B = d(J* gamma), with first derivatives
+    # B = d(J* Omega^(m-2)), with first derivatives
     Bv, Bg = geom._d_from_grads_and_hess(P.dim, jg.degree, grads, hesses)
     # C = Jinv* B: pullback by J^{-1} = -J
     Cv, Cg = geom.endo_pullback_jet(-Jv, -Jg, k1, Bv, Bg)
@@ -423,8 +415,9 @@ _CLASS_LABEL = {
 
 
 def table1_suite(ev: Evaluator, tol, samples=64, seed=7,
-                 ab_grid=DEFAULT_AB_GRID):
-    """Harmonicity of all nine factor-class pairs over the (a, b) grid."""
+                 ab_grid=DEFAULT_AB_GRID, broken_j=False):
+    """Harmonicity of all nine factor-class pairs over the (a, b) grid;
+    broken_j builds every product with the broken-J negative control."""
     rows = []
     worst = 0.0
     for no, (k1, k2) in enumerate(TABLE1_ROWS, start=1):
@@ -433,7 +426,8 @@ def table1_suite(ev: Evaluator, tol, samples=64, seed=7,
         row_max = 0.0
         verdicts = []
         for (a, b) in ab_grid:
-            P = build_product(F1, F2, a, b, validate=False)
+            P = build_product(F1, F2, a, b, validate=False,
+                              broken_j=broken_j)
             pts = geom.sample_points(P.chart, samples, seed)
             rep = harmonicity_report(ev, P, pts, tol)
             verdicts.append(rep.verdict)

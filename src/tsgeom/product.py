@@ -26,9 +26,8 @@ from . import expr, geom, riemann
 from .contact import TransSasakianFactor, validate_axioms
 from .expr import Evaluator
 from .geom import (
-    ChartDomain, EndomorphismField, MetricField, VectorField,
-    coordinate_field, endo_apply_field, endo_field, metric_field,
-    vector_field,
+    ChartDomain, EndomorphismField, MetricField, VectorField, endo_field,
+    metric_field, vector_field,
 )
 from .report import (
     CheckReport, ResidualTracker, column_trackers, verdict_for,
@@ -52,8 +51,6 @@ class UnvalidatedFactor(ProductError):
 class EmbeddedFactor:
     """A factor's fields re-indexed into the product chart."""
 
-    index: int  # 1 or 2
-    source: TransSasakianFactor
     offset: int
     dim: int
     phi: EndomorphismField  # product-chart endo, zero outside the block
@@ -68,8 +65,8 @@ class EmbeddedFactor:
         return slice(self.offset, self.offset + self.dim)
 
 
-def _embed_factor(F: TransSasakianFactor, offset: int, ch: ChartDomain,
-                  idx: int) -> EmbeddedFactor:
+def _embed_factor(F: TransSasakianFactor, offset: int,
+                  ch: ChartDomain) -> EmbeddedFactor:
     d, total = F.chart.dim, ch.dim
     Z = expr.ZERO
 
@@ -88,7 +85,7 @@ def _embed_factor(F: TransSasakianFactor, offset: int, ch: ChartDomain,
         xi[offset + i] = sh(F.structure.xi.comps[i])
         eta[offset + i] = sh(F.structure.eta.comps[i])
     return EmbeddedFactor(
-        index=idx, source=F, offset=offset, dim=d,
+        offset=offset, dim=d,
         phi=endo_field(ch, phi), xi=vector_field(ch, xi),
         eta=tuple(eta), gblk=tuple(tuple(r) for r in gblk),
         alpha=sh(F.alpha), beta=sh(F.beta))
@@ -106,7 +103,6 @@ class ProductHermitian:
     G: MetricField
     e1: EmbeddedFactor
     e2: EmbeddedFactor
-    tampered: bool = False
 
     @property
     def dim(self):
@@ -157,8 +153,8 @@ def build_product(f1: TransSasakianFactor, f2: TransSasakianFactor,
     box = f1.chart.box + f2.chart.box
     ch = ChartDomain(total, names, box)
 
-    emb1 = _embed_factor(f1, 0, ch, 1)
-    emb2 = _embed_factor(f2, d1, ch, 2)
+    emb1 = _embed_factor(f1, 0, ch)
+    emb2 = _embed_factor(f2, d1, ch)
 
     lam = a * a + b * b - 1.0
     b_xi2 = 2.0 * b if broken_j else b
@@ -194,7 +190,7 @@ def build_product(f1: TransSasakianFactor, f2: TransSasakianFactor,
     G = metric_field(ch, Grows)
 
     return ProductHermitian(f1=f1, f2=f2, a=a, b=b, lam=lam, chart=ch, J=J,
-                            G=G, e1=emb1, e2=emb2, tampered=broken_j)
+                            G=G, e1=emb1, e2=emb2)
 
 
 DEFAULT_AB_GRID = ((0.0, 1.0), (1.0, 1.0), (-2.0, 3.0), (0.5, -1.0))
@@ -203,32 +199,6 @@ DEFAULT_AB_GRID = ((0.0, 1.0), (1.0, 1.0), (-2.0, 3.0), (0.5, -1.0))
 # ---------------------------------------------------------------------------
 # Pointwise product data
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SpanField:
-    """A spanning argument: a product-chart field tied to its factor data."""
-
-    label: str
-    factor: int  # 1 or 2
-    product_field: VectorField
-    in_d: bool = False
-
-
-def spanning_fields(P: ProductHermitian, factor: int):
-    """{xi_i} u {phi_i d_c}: Reeb plus D-spanning fields of one factor.
-
-    Identically-zero phi-images (e.g. phi applied to the Reeb coordinate)
-    are dropped; they add nothing to the span.
-    """
-    emb = P.e1 if factor == 1 else P.e2
-    out = [SpanField(f"xi{factor}", factor, emb.xi)]
-    for c in range(emb.dim):
-        pf = endo_apply_field(emb.phi, coordinate_field(P.chart, emb.offset + c))
-        if all(cmp == expr.ZERO for cmp in pf.comps):
-            continue
-        out.append(SpanField(f"phi{factor}(d{c})", factor, pf, in_d=True))
-    return out
-
 
 @dataclass
 class SpanStack:
@@ -289,10 +259,10 @@ class ProductData:
         self.points = pts
         self.md = riemann.MetricData(ev, P.G, pts)
         self.Jv, self.Jg, self.Jh = geom.eval_endo(ev, P.J, pts)
-        self.phi1v, _, _ = geom.eval_endo(ev, P.e1.phi, pts)
-        self.phi2v, _, _ = geom.eval_endo(ev, P.e2.phi, pts)
-        self.xi1v, _, _ = geom.eval_vector(ev, P.e1.xi, pts)
-        self.xi2v, _, _ = geom.eval_vector(ev, P.e2.xi, pts)
+        self.phi1v, self.phi1g, _ = geom.eval_endo(ev, P.e1.phi, pts)
+        self.phi2v, self.phi2g, _ = geom.eval_endo(ev, P.e2.phi, pts)
+        self.xi1v, self.xi1g, _ = geom.eval_vector(ev, P.e1.xi, pts)
+        self.xi2v, self.xi2g, _ = geom.eval_vector(ev, P.e2.xi, pts)
         eta1 = geom.one_form_field(P.chart, P.e1.eta)
         eta2 = geom.one_form_field(P.chart, P.e2.eta)
         self.eta1v, _, _ = geom.eval_oneform(ev, eta1, pts)
@@ -316,20 +286,25 @@ class ProductData:
                 for w, F in ((1, self.P.f1), (2, self.P.f2))}
 
     @cached_property
-    def span(self):
-        """{factor: spanning fields}, see spanning_fields."""
-        return {w: spanning_fields(self.P, w) for w in (1, 2)}
-
-    @cached_property
     def stacks(self):
-        """{factor: SpanStack of its spanning fields, in span order}."""
+        """{factor: SpanStack of its spanning fields {xi_w} u {phi_w d_c}}.
+
+        phi_w d_c is column c of phi_w, read from its jets; the columns c of
+        the factor's block whose expressions are all zero (phi of the Reeb
+        coordinate) add nothing to the span and are dropped.
+        """
         out = {}
-        for w, fields in self.span.items():
-            jets = [geom.eval_vector(self.ev, S.product_field, self.points)[:2]
-                    for S in fields]
-            out[w] = SpanStack(w, (self.P.e1 if w == 1 else self.P.e2).block,
-                               tuple(np.stack(a, axis=-1) for a in zip(*jets)),
-                               np.arange(len(fields)))
+        jets = {1: (self.xi1v, self.xi1g, self.phi1v, self.phi1g),
+                2: (self.xi2v, self.xi2g, self.phi2v, self.phi2g)}
+        for w, (xiv, xig, phiv, phig) in jets.items():
+            emb = self.P.e1 if w == 1 else self.P.e2
+            cols = [c for c in range(emb.block.start, emb.block.stop)
+                    if any(row[c] != expr.ZERO for row in emb.phi.comps)]
+            val = np.concatenate((xiv[..., None], phiv[..., cols]), axis=-1)
+            grad = np.concatenate(
+                (xig[..., None], phig[:, :, cols].swapaxes(2, 3)), axis=-1)
+            out[w] = SpanStack(w, emb.block, (val, grad),
+                               np.arange(len(cols) + 1))
         return out
 
     def nabla_J(self):
@@ -631,7 +606,7 @@ def connection_closed_form_report(ev: Evaluator, P: ProductHermitian,
 
     # the Reeb pairs (xi_i, xi_j), i slowest
     xi = np.stack((pd.xi1v, pd.xi2v), axis=-1)
-    xig = np.stack([S[w].grad[..., 0] for w in (1, 2)], axis=-1)
+    xig = np.stack((pd.xi1g, pd.xi2g), axis=-1)
     i, j = np.indices((2, 2)).reshape(2, -1)
     zero = {"nabla_xi_xi_zero": riemann.vector_residual_norm(
         pd.md.g0, pd.frames,
@@ -705,11 +680,11 @@ def curvature_closed_form_report(ev: Evaluator, P: ProductHermitian, points,
         return generic, {"reference": np.zeros_like(generic),
                          "koszul": variants["koszul"]}
 
-    # diagonal pairs (U, U) are kept: the generic side vanishes there by
-    # antisymmetry, which exposes symmetric transcription defects that
-    # orthogonal off-diagonal pairs cannot see
-    D = {w: S[w].take([k for k, F in enumerate(pd.span[w]) if F.in_d])
-         for w in (1, 2)}
+    # the D-span of a factor is every column after xi_w; diagonal pairs
+    # (U, U) are kept: the generic side vanishes there by antisymmetry,
+    # which exposes symmetric transcription defects that orthogonal
+    # off-diagonal pairs cannot see
+    D = {w: S[w].take(slice(1, None)) for w in (1, 2)}
 
     def families():
         for w in (1, 2):

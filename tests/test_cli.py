@@ -217,6 +217,23 @@ class TestRun:
         assert all(v != "harmonic" for n, v in verdicts.items()
                    if n.startswith("harmonicity"))
 
+    def test_broken_j_control_fails_table1(self):
+        # table1 builds its nine class pairs itself; the broken-J control
+        # must reach every one of them
+        mf = resolve_manifest({
+            "factors": [{"builtin": "cosymplectic_flat"},
+                        {"builtin": "cosymplectic_flat"}],
+            "product": {"grid": [[1.0, 2.0]], "tamper": {"broken_j": True}},
+            "checks": ["table1"],
+            "sampling": {"count": 4},
+        })
+        out = run(mf)
+        assert out["overall_verdict"] == "fail"
+        (rep,) = out["checks"]
+        assert rep["verdict"] == "fail"
+        rows = rep["details"]["table1_rows"]
+        assert [r["harmonicity"] for r in rows] == ["No"] * 9
+
     def test_corrupted_phi_control_fails_axioms(self):
         mf = resolve_manifest({
             "factors": [{"builtin": "cosymplectic_flat",

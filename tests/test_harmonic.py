@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tsgeom import contact, expr, geom, harmonic, product
+from tsgeom import cli, contact, expr, geom, harmonic, product
 from tsgeom.contact import builtin_factor
 from tsgeom.expr import JET, parse
 from tsgeom.geom import sample_points
@@ -12,7 +14,7 @@ from tsgeom.harmonic import (
     commutator_condition_bracket, table1_suite, sufficient_condition_tensors,
 )
 from tsgeom.product import ProductData, build_product
-from tsgeom.report import verdict_for
+from tsgeom.report import CheckReport, ResidualTracker, verdict_for
 
 FLAT, SAS, KEN = "cosymplectic_flat", "sasakian_heisenberg", "kenmotsu_warped"
 
@@ -217,6 +219,50 @@ def _pullback_field_per_term(J, omega):
     return geom.KFormField(omega.chart, omega.degree, tuple(out))
 
 
+def _astheno_of_the_pulled_back_power(P, points, tol):
+    """The astheno report with J*(Omega^(m-2)) built by the general-degree
+    rule from the (2m-4)-form Omega^(m-2): the oracle of pulling back Omega
+    and taking its power."""
+    m = P.m_complex
+    jg = _pullback_field_per_term(P.J, geom.wedge_power_field(
+        harmonic.kahler_form_field(P), m - 2))
+    k1 = jg.degree + 1
+    Jv, Jg, _ = geom.eval_endo(JET, P.J, points)
+    _, grads, hesses = geom.eval_form(JET, jg, points)
+    Bv, Bg = geom._d_from_grads_and_hess(P.dim, jg.degree, grads, hesses)
+    Cv, Cg = geom.endo_pullback_jet(-Jv, -Jg, k1, Bv, Bg)
+    Dv = geom.d_of_jet_form(P.dim, k1, Cv, Cg)
+    return CheckReport.from_trackers(
+        "astheno", tol, [ResidualTracker.from_points("dd^c", Dv, points)])
+
+
+# the sasakian_heisenberg pattern on two planes (x1, y1), (x2, y2):
+# eta = (dz - y1 dx1 - y2 dx2)/2, xi = 2 d_z,
+# g = eta (x) eta + (dx1^2 + dy1^2 + dx2^2 + dy2^2)/4,
+# phi d_xi = -d_yi, phi d_yi = d_xi + yi d_z
+HEISENBERG5 = {
+    "name": "heisenberg5", "dim": 5, "coords": ["x1", "y1", "x2", "y2", "z"],
+    "g": [["0.25*y1*y1 + 0.25", "0", "0.25*y1*y2", "0", "-0.25*y1"],
+          ["0", "0.25", "0", "0", "0"],
+          ["0.25*y1*y2", "0", "0.25*y2*y2 + 0.25", "0", "-0.25*y2"],
+          ["0", "0", "0", "0.25", "0"],
+          ["-0.25*y1", "0", "-0.25*y2", "0", "0.25"]],
+    "phi": [["0", "1", "0", "0", "0"],
+            ["-1", "0", "0", "0", "0"],
+            ["0", "0", "0", "1", "0"],
+            ["0", "0", "-1", "0", "0"],
+            ["0", "y1", "0", "y2", "0"]],
+    "xi": ["0", "0", "0", "0", "2"],
+    "eta": ["-0.5*y1", "0", "-0.5*y2", "0", "0.5"],
+    "alpha": "1", "beta": "0"}
+
+
+def _kenmotsu_beta2():
+    path = (Path(__file__).resolve().parents[1] / "manifests"
+            / "custom_kenmotsu_beta2.json")
+    return cli.load_manifest(path)["factors"]
+
+
 class TestAstheno:
     def test_m2_short_circuit(self):
         P = make(FLAT, FLAT, 0.0, 1.0)
@@ -257,13 +303,52 @@ class TestAstheno:
         assert rep.details["m_complex"] == 3
 
     def test_pullback_field_matches_the_per_term_sign_oracle(self):
-        # Omega^2 on the canonical pair: degree 4, 24 permutations per det
+        # the 2-form Omega on the canonical pair: the same expressions as
+        # the general-degree rule, so the m = 3 check is unchanged
         P = make(SAS, KEN, 1.0, 1.0)
-        gamma = geom.wedge_power_field(harmonic.kahler_form_field(P), 2)
-        assert gamma.degree == 4
-        got = harmonic._pullback_field(P.J, gamma)
-        want = _pullback_field_per_term(P.J, gamma)
+        omega = harmonic.kahler_form_field(P)
+        got = harmonic._pullback_field(P.J, omega)
+        want = _pullback_field_per_term(P.J, omega)
         assert (got.degree, got.comps) == (want.degree, want.comps)
+
+    @pytest.mark.parametrize("pair", ["canonical", "kenmotsu_beta2"])
+    def test_power_of_the_pullback_is_the_pullback_of_the_power(self, pair):
+        # J* is an algebra homomorphism: (J* Omega)^2 = J*(Omega^2), here
+        # compared through their jets
+        if pair == "canonical":
+            P = make(SAS, KEN, 1.0, 1.0)
+        else:
+            P = build_product(*_kenmotsu_beta2(), 1.0, 2.0, validate=False)
+        omega = harmonic.kahler_form_field(P)
+        got = geom.wedge_power_field(harmonic._pullback_field(P.J, omega), 2)
+        want = _pullback_field_per_term(
+            P.J, geom.wedge_power_field(omega, 2))
+        assert got.degree == want.degree == 4
+        points = sample_points(P.chart, 6, 7)
+        for g, w in zip(geom.eval_form(JET, got, points),
+                        geom.eval_form(JET, want, points)):
+            assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+
+    def test_m4_heisenberg_product_matches_the_pullback_of_the_power(self):
+        # m = 4: a 5-dim Heisenberg factor times sasakian_heisenberg, run
+        # end to end and against J*(Omega^2) built by the general-degree rule
+        mf = cli.resolve_manifest({
+            "factors": [{"custom": HEISENBERG5}, {"builtin": SAS}],
+            "product": {"a": 1.0, "b": 1.0}, "checks": ["astheno"],
+            "sampling": {"count": 4, "seed": 7}})
+        rep = cli.run(mf)["checks"][0]
+        P = build_product(*mf["factors"], 1.0, 1.0, validate=False)
+        assert P.m_complex == 4
+        points = sample_points(P.chart, 4, 7)
+        want = _astheno_of_the_pulled_back_power(P, points, mf["tol"])
+        assert rep["details"]["m_complex"] == 4
+        assert rep["verdict"] == want.verdict == "fail"
+        fam, want_fam = (rep["details"]["families"]["dd^c"],
+                         want.details["families"]["dd^c"])
+        assert fam["samples"] == want_fam["samples"] == 4
+        for key in ("max_residual", "mean_residual"):
+            assert abs(fam[key] - want_fam[key]) <= 1e-12 * max(
+                1.0, abs(want_fam[key])), key
 
     def test_broken_j_raises(self):
         P = make(SAS, FLAT, 1.0, 1.0, broken_j=True)

@@ -14,7 +14,6 @@ from tsgeom.product import (
     DEFAULT_AB_GRID, UnvalidatedFactor, ZeroB, build_product,
     connection_closed_form_report, curvature_closed_form_report,
     integrability_report, nabla_J_report, product_invariants_report,
-    spanning_fields,
 )
 from tsgeom.report import CheckReport, ResidualTracker, verdict_for
 
@@ -25,6 +24,37 @@ KEN = "kenmotsu_warped"
 
 def make(n1=FLAT, n2=FLAT, a=0.0, b=1.0, **kw):
     return build_product(builtin_factor(n1), builtin_factor(n2), a, b, **kw)
+
+
+@dataclasses.dataclass
+class SpanField:
+    """A spanning argument: a product-chart field tied to its factor data
+    and to its column in the factor's SpanStack."""
+
+    label: str
+    factor: int  # 1 or 2
+    product_field: geom.VectorField
+    column: int
+    in_d: bool = False
+
+
+def spanning_fields(P, factor):
+    """{xi_i} u {phi_i d_c} as new expression fields: Reeb plus D-spanning
+    fields of one factor, the oracle of ProductData.stacks.
+
+    Identically-zero phi-images (e.g. phi applied to the Reeb coordinate)
+    are dropped; they add nothing to the span.
+    """
+    emb = P.e1 if factor == 1 else P.e2
+    out = [SpanField(f"xi{factor}", factor, emb.xi, 0)]
+    for c in range(emb.dim):
+        pf = geom.endo_apply_field(
+            emb.phi, geom.coordinate_field(P.chart, emb.offset + c))
+        if all(cmp == expr.ZERO for cmp in pf.comps):
+            continue
+        out.append(SpanField(f"phi{factor}(d{c})", factor, pf, len(out),
+                             in_d=True))
+    return out
 
 
 def kenmotsu_scaled(beta):
@@ -346,7 +376,7 @@ class TestIntegrabilitySamples:
 def _jets(pd, S):
     """((val, grad) on the product chart, (val, grad) on the factor chart)
     of one spanning field, read from its factor's stack."""
-    k = next(k for k, T in enumerate(pd.span[S.factor]) if T is S)
+    k = S.column
     st = pd.stacks[S.factor]
     return ((st.val[..., k], st.grad[..., k], None),
             (st.fval[..., k], st.fgrad[..., k], None))
@@ -530,7 +560,7 @@ def _curvature_at(pd, i, U, V, Z, Uval, Vval, Zval):
 
 def _oracle_tables(pd, which):
     """(families, zero families) of one closed-form report, per point."""
-    span = pd.span
+    span = {w: spanning_fields(pd.P, w) for w in (1, 2)}
     val = lambda S, i: _jets(pd, S)[0][0][i]  # noqa: E731
     norm = lambda i, v: float(np.max(np.abs(  # noqa: E731
         pd.frames[i] @ pd.md.g0[i] @ v)))
@@ -768,7 +798,7 @@ def test_koszul_matches_the_generic_computation_everywhere(k1, k2, a, b,
 def _per_argument_tables(pd, which):
     """(families, zero families) of one closed-form report: argument tuples
     of one-column SpanStacks and the closures that evaluate one tuple."""
-    cols = {w: [pd.stacks[w].take([k]) for k in range(len(pd.span[w]))]
+    cols = {w: [pd.stacks[w].take([k]) for k in pd.stacks[w].idx]
             for w in (1, 2)}
     g0, frames = pd.md.g0, pd.frames
     blocks = ((1, 1), (2, 2), (1, 2), (2, 1))
@@ -837,8 +867,8 @@ def _per_argument_tables(pd, which):
         return generic, {"reference": np.zeros_like(generic),
                          "koszul": variants["koszul"]}
 
-    dcols = {w: [S for S, F in zip(cols[w], pd.span[w]) if F.in_d]
-             for w in (1, 2)}
+    dcols = {w: [S for S, F in zip(cols[w], spanning_fields(pd.P, w))
+                 if F.in_d] for w in (1, 2)}
     pairs = {w: [(U, V) for U in dcols[w] for V in dcols[w]] for w in (1, 2)}
     names = ("reference", "koszul")
     families = {f"R_U{w}V{w}_Z{z}": (
@@ -1022,7 +1052,7 @@ def test_factor_chart_stacks_are_blocks_of_the_product_chart(pair, mode):
         st = pd.stacks[w]
         blk = (P.e1 if w == 1 else P.e2).block
         fields = _factor_chart_span(F)
-        assert len(fields) == len(pd.span[w])
+        assert len(fields) == len(st.idx)
         fv, fg, _ = (np.stack(a, axis=-1) for a in zip(*(
             geom.eval_vector(ev, X, P.factor_point(w, pd.points))
             for X in fields)))
@@ -1033,3 +1063,54 @@ def test_factor_chart_stacks_are_blocks_of_the_product_chart(pair, mode):
         out[blk] = False
         assert not st.val[:, out].any()
         assert not st.grad[:, out].any() and not st.grad[:, :, out].any()
+
+
+# ---------------------------------------------------------------------------
+# Spanning stacks: the xi/phi jets of ProductData against the spanning fields
+# built as new expressions and evaluated again
+# ---------------------------------------------------------------------------
+
+SPAN_CASES = {"sas-ken": ((SAS, KEN), None), "ken-sas": ((KEN, SAS), None),
+              "flat-ken": ((FLAT, KEN), None),
+              "sas-kenmotsu_beta2": (None, None),
+              "sas-ken~phi*1.1": ((SAS, KEN), 1.1)}
+
+
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+@pytest.mark.parametrize("case", list(SPAN_CASES))
+def test_span_stacks_equal_the_spanning_field_oracle(case, mode):
+    pair, phi_scale = SPAN_CASES[case]
+    F1, F2 = TestArgumentAxisAgainstPerArgumentOracle.factors(pair, phi_scale)
+    P = build_product(F1, F2, 1.0, 2.0, validate=False)
+    ev = Evaluator(mode)
+    pd = product.ProductData(ev, P, pts(P, 7))
+    for w in (1, 2):
+        fields = spanning_fields(P, w)
+        jets = [geom.eval_vector(ev, S.product_field, pd.points)[:2]
+                for S in fields]
+        want = product.SpanStack(
+            w, (P.e1 if w == 1 else P.e2).block,
+            tuple(np.stack(a, axis=-1) for a in zip(*jets)),
+            np.arange(len(fields)))
+        got = pd.stacks[w]
+        assert list(got.idx) == list(want.idx)
+        for name in ("val", "grad", "fval", "fgrad"):
+            g, v = getattr(got, name), getattr(want, name)
+            assert np.array_equal(g, v), (w, name)
+            assert g.tobytes() == v.tobytes(), (w, name)
+
+
+def test_span_stacks_evaluate_no_field(monkeypatch):
+    """ProductData.stacks reads the xi/phi jets that ProductData keeps: it
+    makes no geom.eval_* call of its own."""
+    P = make(SAS, KEN, a=1.0, b=2.0)
+    pd = product.ProductData(JET, P, pts(P, 7))
+    calls = []
+    for name in ("eval_scalar", "eval_vector", "eval_endo", "eval_oneform",
+                 "eval_metric"):
+        def counted(*args, _fn=getattr(geom, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(geom, name, counted)
+    assert [len(pd.stacks[w].idx) for w in (1, 2)] == [3, 3]
+    assert calls == []
