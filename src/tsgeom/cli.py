@@ -312,7 +312,7 @@ def _apply_box_overrides(ch, overrides, prefix):
         return ch
     box = list(ch.box)
     for i, name in enumerate(ch.names):
-        for key in (f"{prefix}.{name}", name):
+        for key in (name, f"{prefix}.{name}"):  # the qualified key wins
             if key in overrides:
                 box[i] = overrides[key]
     return geom.ChartDomain(ch.dim, ch.names, tuple(box))
@@ -461,7 +461,9 @@ def classify(mf) -> dict:
     out = []
     ok = True
     for tag, F in zip(("f1", "f2"), mf["factors"]):
-        pts = sample_points(F.chart, mf["count"], mf["seed"])
+        pts = sample_points(
+            _apply_box_overrides(F.chart, mf["box_overrides"], tag),
+            mf["count"], mf["seed"])
         try:
             info = factor_class_report(ev, F, pts, mf["tol"])
         except DOMAIN_ERRORS as exc:

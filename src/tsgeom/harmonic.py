@@ -15,10 +15,10 @@ import numpy as np
 from . import expr, geom, riemann
 from .contact import factor_for_class
 from .expr import Evaluator
-from .geom import KFormField, form_indices, kform_from_components
+from .geom import KFormField, kform_from_components
 from .product import (
     DEFAULT_AB_GRID, ProductData, ProductHermitian, build_product,
-    integrability_report,
+    integrability_report, product_invariants_report,
 )
 from .report import CheckReport, FAIL_FACTOR, ResidualTracker
 
@@ -28,6 +28,10 @@ class HarmonicError(Exception):
 
 
 class NotIntegrable(HarmonicError):
+    pass
+
+
+class NotHermitian(HarmonicError):
     pass
 
 
@@ -291,80 +295,57 @@ def kahler_form_field(P: ProductHermitian) -> KFormField:
     return kform_from_components(P.chart, 2, comp)
 
 
-def _pullback_field(J: geom.EndomorphismField, omega: KFormField) -> KFormField:
-    """Expression-level pullback of a 2-form,
-    (J* omega)_ij = sum_{k<l} omega_kl (J_ki J_lj - J_li J_kj)."""
-    idxs = omega.indices()
-    out = []
-    for i, j in idxs:
-        total = expr.ZERO
-        for s, (k, l) in enumerate(idxs):
-            if omega.comps[s] == expr.ZERO:
-                continue
-            det = expr.add(expr.mul(J.comps[k][i], J.comps[l][j]),
-                           expr.neg(expr.mul(J.comps[l][i], J.comps[k][j])))
-            total = expr.add(total, expr.mul(omega.comps[s], det))
-        out.append(total)
-    return KFormField(omega.chart, 2, tuple(out))
+def _ddc(ev: Evaluator, P: ProductHermitian, form: KFormField, pts):
+    """d (J^-1)* d of a k-form at every point: the (p, C(d, k + 2)) comps.
+
+    For a J-invariant form this is d d^c, with d^c = (J^-1)* o d o J*.
+    """
+    k1 = form.degree + 1
+    Jv, Jg, _ = geom.eval_endo(ev, P.J, pts)
+    # batched form jets: each component is walked once for all points
+    _, grads, hesses = geom.eval_form(ev, form, pts)
+    # B = d(form), with first derivatives
+    Bv, Bg = geom._d_from_grads_and_hess(P.dim, form.degree, grads, hesses)
+    # C = Jinv* B: pullback by J^{-1} = -J
+    Cv, Cg = geom.endo_pullback_jet(-Jv, -Jg, k1, Bv, Bg)
+    return geom.d_of_jet_form(P.dim, k1, Cv, Cg)
 
 
 def astheno_residual(ev: Evaluator, P: ProductHermitian, points, tol, *,
-                     m_override=None, check_integrable=True) -> CheckReport:
+                     m_override=None) -> CheckReport:
     """sup-norm of d(d^c(Omega^(m-2))) with d^c = Jinv o d o J-pullback.
 
-    m = 2 short-circuits to a pass with residual exactly zero. Requires an
-    integrable J (the d^c identity presumes it).
+    m = 2 short-circuits to a pass with residual exactly zero. Otherwise J
+    must be integrable (the d^c identity presumes it), else NotIntegrable,
+    and G-Hermitian with J^2 = -Id, else NotHermitian.
     """
     m = m_override if m_override is not None else P.m_complex
     if m == 2:
         return CheckReport("astheno", tol, 0.0, 0.0, None, "pass",
                            details={"m_complex": 2})
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if check_integrable:
-        smoke = pts[: min(8, pts.shape[0])]
-        rep = integrability_report(ev, P, smoke, max(tol, 1e-6))
-        if rep.verdict != "pass":
-            raise NotIntegrable(
-                f"Nijenhuis residual {rep.max_residual:.3e} at tol {tol}")
-    # J* is an algebra homomorphism: J*(Omega^(m-2)) = (J*Omega)^(m-2)
-    jg = geom.wedge_power_field(_pullback_field(P.J, kahler_form_field(P)),
-                                m - 2)
-    k1 = jg.degree + 1
-    Jv, Jg, _ = geom.eval_endo(ev, P.J, pts)
-    # batched form jets: the pullback components are large expressions, so
-    # walk them once for all points
-    _, grads, hesses = geom.eval_form(ev, jg, pts)
-    # B = d(J* Omega^(m-2)), with first derivatives
-    Bv, Bg = geom._d_from_grads_and_hess(P.dim, jg.degree, grads, hesses)
-    # C = Jinv* B: pullback by J^{-1} = -J
-    Cv, Cg = geom.endo_pullback_jet(-Jv, -Jg, k1, Bv, Bg)
-    Dv = geom.d_of_jet_form(P.dim, k1, Cv, Cg)
+    smoke = pts[: min(8, pts.shape[0])]
+    rep = integrability_report(ev, P, smoke, max(tol, 1e-6))
+    if rep.verdict != "pass":
+        raise NotIntegrable(
+            f"Nijenhuis residual {rep.max_residual:.3e} at tol {tol}")
+    rep = product_invariants_report(ev, P, smoke, max(tol, 1e-6))
+    if rep.verdict != "pass":
+        raise NotHermitian(
+            f"J^2/Hermitian residual {rep.max_residual:.3e} at tol {tol}")
+    # Omega(JX, JY) = G(J^2 X, JY) = Omega(X, Y): J* fixes Omega^(m-2)
+    Dv = _ddc(ev, P, geom.wedge_power_field(kahler_form_field(P), m - 2), pts)
     t = ResidualTracker.from_points("dd^c", Dv, pts)
     return CheckReport.from_trackers("astheno", tol, [t],
                                      details={"m_complex": m})
 
 
 def ddc_scalar(ev: Evaluator, P: ProductHermitian, f: expr.Expression, p):
-    """d(d^c f) for a scalar: d^c f = -(df) o J; returns the 2-form comps."""
+    """d(d^c f) for a scalar, d^c f = -(df) o J: the 2-form comps, (p, C(d, 2))
+    for a stack of points and (C(d, 2),) for a bare point."""
     pts = np.asarray(p, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    Jv, Jg, _ = geom.eval_endo(ev, P.J, pts)
-    j = ev.jet(f, pts)
-    d = P.dim
-    out = []
-    for i in range(pts.shape[0]):
-        df = j.grad[i]
-        ddf = j.hess[i]
-        # rho_l = -(df o J)_l = -df_k J^k_l ; drho[l, n]
-        rho_g = -(np.einsum("kn,kl->ln", ddf, Jv[i])
-                  + np.einsum("k,kln->ln", df, Jg[i]))
-        comps = np.array([rho_g[jj, ii] - rho_g[ii, jj]
-                          for (ii, jj) in form_indices(d, 2)])
-        # (d rho)_{ij} = d_i rho_j - d_j rho_i
-        out.append(comps)
-    return out[0] if single else out
+    out = _ddc(ev, P, KFormField(P.chart, 0, (f,)), np.atleast_2d(pts))
+    return out[0] if pts.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

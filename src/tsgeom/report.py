@@ -274,6 +274,13 @@ def run_report_markdown(report_dict) -> str:
         if chk.get("details", {}).get("table1_rows"):
             lines.append("")
             lines.append(table1_markdown(chk["details"]["table1_rows"]))
+    errors = [chk for chk in report_dict.get("checks", [])
+              if "error" in chk.get("details", {})]
+    if errors:
+        lines += ["", "## Errors"]
+        for chk in errors:
+            lines.append(f"- {chk['name']}: {chk['details']['error']} "
+                         f"(raised in `{chk['details'].get('error_origin')}`)")
     notes = report_dict.get("notes", [])
     if notes:
         lines.append("")

@@ -314,7 +314,7 @@ class TestCriterion8_Astheno:
         P = build_product(factors[FLAT], factors[FLAT], 0.0, 1.0,
                           validate=False)
         rep = astheno_residual(JET, P, sample_points(P.chart, 3, SEED), 1e-6,
-                               m_override=2, check_integrable=False)
+                               m_override=2)
         assert rep.max_residual == 0.0 and rep.verdict == "pass"
         ok("criterion 8c: m = 2 short-circuit returns exactly 0")
 

@@ -195,6 +195,23 @@ class TestRun:
             for fam in chk["details"]["families"].values():
                 assert -0.2 <= fam["worst_point"][t2] <= 0.2, chk["name"]
 
+    @pytest.mark.parametrize("tag,name,check", [
+        ("f1", "t", "axioms"), ("product", "t2", "connection")])
+    def test_qualified_box_key_beats_the_bare_one(self, tag, name, check):
+        mf = resolve_manifest({
+            "factors": [{"builtin": "kenmotsu_warped"},
+                        {"builtin": "kenmotsu_warped"}],
+            "product": {"a": 1.0, "b": 1.0},
+            "checks": [check],
+            "sampling": {"count": 8, "box": {f"{tag}.{name}": [0.1, 0.1],
+                                             name: [-0.2, 0.2]}},
+        })
+        chk = run(mf)["checks"][0]
+        names = (mf["factors"][0].chart.names if tag == "f1" else
+                 product.build_product(*mf["factors"], 1.0, 1.0).chart.names)
+        for fam in chk["details"]["families"].values():
+            assert fam["worst_point"][names.index(name)] == 0.1
+
     def test_empty_checks_report_only(self):
         mf = resolve_manifest(dict(MINIMAL, checks=[]))
         out = run(mf)
@@ -316,6 +333,39 @@ class TestEmitAndMain:
         assert abs(c1["alpha"] - 1.0) < 1e-7
         assert c2["class"] == "kenmotsu"
         assert abs(c2["beta"] - 1.0) < 1e-7
+
+    def test_classify_samples_the_overridden_box(self, monkeypatch):
+        seen = []
+
+        def record(ev, F, pts, tol):
+            seen.append(pts)
+            return {"name": F.structure.name, "class": "cosymplectic"}
+
+        monkeypatch.setattr(cli, "factor_class_report", record)
+        cli.classify(resolve_manifest(dict(
+            MINIMAL, sampling={"count": 8, "box": {"f1.z": [5, 5]}})))
+        z = 2  # cosymplectic_flat's coordinates are (x, y, z)
+        assert np.all(seen[0][:, z] == 5.0)
+        assert np.all(np.abs(seen[1][:, z]) <= 1.0)
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_markdown_names_the_error_of_a_check(self, tmp_path, capsys,
+                                                 command):
+        m = write_manifest(tmp_path, {
+            "factors": [{"builtin": "sasakian_heisenberg"},
+                        {"builtin": "cosymplectic_flat"}],
+            "product": {"a": 1.0, "b": 1.0, "tamper": {"broken_j": True}},
+            "checks": ["astheno"],
+            "sampling": {"count": 6},
+        })
+        saved = tmp_path / "r.json"
+        main(["verify", m, "--out", str(saved)])
+        capsys.readouterr()
+        main([command, str(saved) if command == "report" else m,
+              "--format", "md"])
+        text = capsys.readouterr().out
+        assert "- astheno[a=1,b=1]: NotIntegrable: Nijenhuis residual " in text
+        assert "(raised in `tsgeom.harmonic.astheno_residual`)" in text
 
     @pytest.mark.parametrize("command", ["verify", "classify", "report"])
     @pytest.mark.parametrize("fmt", ["json", "md"])

@@ -8,12 +8,12 @@ from tsgeom.contact import builtin_factor
 from tsgeom.expr import JET, parse
 from tsgeom.geom import sample_points
 from tsgeom.harmonic import (
-    NotIntegrable, astheno_residual, chern_ricci_P, codifferential_J,
+    NotHermitian, NotIntegrable, astheno_residual, chern_ricci_P, codifferential_J,
     delta_and_P_with_frame, dirichlet_energy_density, energy_report,
     harmonicity_report, mixed_frame, nabla_deltaJ_J, rough_laplacian_J,
     commutator_condition_bracket, table1_suite, sufficient_condition_tensors,
 )
-from tsgeom.product import ProductData, build_product
+from tsgeom.product import DEFAULT_AB_GRID, ProductData, build_product
 from tsgeom.report import CheckReport, ResidualTracker, verdict_for
 
 FLAT, SAS, KEN = "cosymplectic_flat", "sasakian_heisenberg", "kenmotsu_warped"
@@ -198,7 +198,7 @@ class TestEnergy:
 
 def _pullback_field_per_term(J, omega):
     """(J* omega)_I = sum_K omega_K det(J[K, I]), taking the sign of each
-    permutation anew for every term: the oracle of _pullback_field."""
+    permutation anew for every term."""
     from itertools import permutations
     idxs = omega.indices()
     out = []
@@ -221,8 +221,8 @@ def _pullback_field_per_term(J, omega):
 
 def _astheno_of_the_pulled_back_power(P, points, tol):
     """The astheno report with J*(Omega^(m-2)) built by the general-degree
-    rule from the (2m-4)-form Omega^(m-2): the oracle of pulling back Omega
-    and taking its power."""
+    rule from the (2m-4)-form Omega^(m-2): the oracle of J*(Omega^(m-2)) =
+    Omega^(m-2), which the check uses without building the pullback."""
     m = P.m_complex
     jg = _pullback_field_per_term(P.J, geom.wedge_power_field(
         harmonic.kahler_form_field(P), m - 2))
@@ -263,11 +263,60 @@ def _kenmotsu_beta2():
     return cli.load_manifest(path)["factors"]
 
 
+def _assert_same_astheno(got, want):
+    """A report dict against the oracle's report: the same verdict, sample
+    count and worst point, and max and mean to 1e-12 relative."""
+    fam, want_fam = (got["details"]["families"]["dd^c"],
+                     want.details["families"]["dd^c"])
+    assert got["verdict"] == want.verdict
+    assert fam["samples"] == want_fam["samples"]
+    assert fam["worst_point"] == want_fam["worst_point"]
+    for key in ("max_residual", "mean_residual"):
+        assert abs(fam[key] - want_fam[key]) <= 1e-12 * max(
+            1.0, abs(want_fam[key])), key
+
+
+# a cosymplectic_flat with g = diag(2, 1, 1): phi is constant, so the product
+# J is integrable, but phi is not g-orthogonal, so J is not G-Hermitian
+STRETCHED_FLAT = {
+    "name": "stretched_flat", "dim": 3, "coords": ["x", "y", "z"],
+    "g": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+    "xi": ["0", "0", "1"], "eta": ["0", "0", "1"]}
+
+
+def _factor_pairs():
+    """The nine class pairs, kenmotsu_beta2 and the 5-dim Heisenberg factor
+    times sasakian_heisenberg, by name."""
+    pairs = {f"{k1}-{k2}": (contact.factor_for_class(k1),
+                            contact.factor_for_class(k2))
+             for k1, k2 in harmonic.TABLE1_ROWS}
+    pairs["kenmotsu_beta2"] = tuple(_kenmotsu_beta2())
+    pairs["heisenberg5-sasakian"] = tuple(cli.resolve_manifest({
+        "factors": [{"custom": HEISENBERG5}, {"builtin": SAS}]})["factors"])
+    return pairs
+
+
+def _ddc_scalar_per_point(ev, P, f, pts):
+    """d(d^c f) one point at a time from the jets of f and J, with
+    rho = -(df) o J and (d rho)_ij = d_i rho_j - d_j rho_i."""
+    Jv, Jg, _ = geom.eval_endo(ev, P.J, pts)
+    j = ev.jet(f, pts)
+    out = []
+    for i in range(pts.shape[0]):
+        # rho_l = -df_k J^k_l; rho_g[l, n] = d_n rho_l
+        rho_g = -(np.einsum("kn,kl->ln", j.hess[i], Jv[i])
+                  + np.einsum("k,kln->ln", j.grad[i], Jg[i]))
+        out.append([rho_g[jj, ii] - rho_g[ii, jj]
+                    for ii, jj in geom.form_indices(P.dim, 2)])
+    return np.array(out)
+
+
 class TestAstheno:
     def test_m2_short_circuit(self):
         P = make(FLAT, FLAT, 0.0, 1.0)
         rep = astheno_residual(JET, P, sample_points(P.chart, 3, 7), 1e-6,
-                               m_override=2, check_integrable=False)
+                               m_override=2)
         assert rep.verdict == "pass"
         assert rep.max_residual == 0.0
 
@@ -302,32 +351,14 @@ class TestAstheno:
         assert fam["worst_point"] == list(rep.worst_point)
         assert rep.details["m_complex"] == 3
 
-    def test_pullback_field_matches_the_per_term_sign_oracle(self):
-        # the 2-form Omega on the canonical pair: the same expressions as
-        # the general-degree rule, so the m = 3 check is unchanged
-        P = make(SAS, KEN, 1.0, 1.0)
-        omega = harmonic.kahler_form_field(P)
-        got = harmonic._pullback_field(P.J, omega)
-        want = _pullback_field_per_term(P.J, omega)
-        assert (got.degree, got.comps) == (want.degree, want.comps)
-
     @pytest.mark.parametrize("pair", ["canonical", "kenmotsu_beta2"])
-    def test_power_of_the_pullback_is_the_pullback_of_the_power(self, pair):
-        # J* is an algebra homomorphism: (J* Omega)^2 = J*(Omega^2), here
-        # compared through their jets
-        if pair == "canonical":
-            P = make(SAS, KEN, 1.0, 1.0)
-        else:
-            P = build_product(*_kenmotsu_beta2(), 1.0, 2.0, validate=False)
-        omega = harmonic.kahler_form_field(P)
-        got = geom.wedge_power_field(harmonic._pullback_field(P.J, omega), 2)
-        want = _pullback_field_per_term(
-            P.J, geom.wedge_power_field(omega, 2))
-        assert got.degree == want.degree == 4
+    def test_matches_the_pullback_of_the_power(self, pair):
+        P = (make(SAS, KEN, 1.0, 1.0) if pair == "canonical" else
+             build_product(*_kenmotsu_beta2(), 1.0, 2.0, validate=False))
         points = sample_points(P.chart, 6, 7)
-        for g, w in zip(geom.eval_form(JET, got, points),
-                        geom.eval_form(JET, want, points)):
-            assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+        got = astheno_residual(JET, P, points, 1e-6)
+        want = _astheno_of_the_pulled_back_power(P, points, 1e-6)
+        _assert_same_astheno(got.to_dict(), want)
 
     def test_m4_heisenberg_product_matches_the_pullback_of_the_power(self):
         # m = 4: a 5-dim Heisenberg factor times sasakian_heisenberg, run
@@ -342,18 +373,68 @@ class TestAstheno:
         points = sample_points(P.chart, 4, 7)
         want = _astheno_of_the_pulled_back_power(P, points, mf["tol"])
         assert rep["details"]["m_complex"] == 4
-        assert rep["verdict"] == want.verdict == "fail"
-        fam, want_fam = (rep["details"]["families"]["dd^c"],
-                         want.details["families"]["dd^c"])
-        assert fam["samples"] == want_fam["samples"] == 4
-        for key in ("max_residual", "mean_residual"):
-            assert abs(fam[key] - want_fam[key]) <= 1e-12 * max(
-                1.0, abs(want_fam[key])), key
+        assert rep["verdict"] == "fail"
+        _assert_same_astheno(rep, want)
 
     def test_broken_j_raises(self):
         P = make(SAS, FLAT, 1.0, 1.0, broken_j=True)
         with pytest.raises(NotIntegrable):
             astheno_residual(JET, P, sample_points(P.chart, 4, 7), 1e-6)
+
+    def test_non_hermitian_j_raises(self):
+        F1 = cli.resolve_manifest(
+            {"factors": [{"custom": STRETCHED_FLAT}, {"builtin": FLAT}]}
+        )["factors"][0]
+        P = build_product(F1, builtin_factor(FLAT), 0.0, 1.0, validate=False)
+        pts = sample_points(P.chart, 4, 7)
+        with pytest.raises(NotHermitian, match="residual 1.000e"):
+            astheno_residual(JET, P, pts, 1e-6)
+
+    def test_non_hermitian_j_fails_the_check(self):
+        # harmonicity's own J^2/Hermitian gate says not-harmonic; astheno
+        # must not pass on the same product
+        mf = cli.resolve_manifest({
+            "factors": [{"custom": STRETCHED_FLAT}, {"builtin": FLAT}],
+            "product": {"a": 0.0, "b": 1.0},
+            "checks": ["integrability", "harmonicity", "astheno"],
+            "sampling": {"count": 6, "seed": 7}})
+        integ, harm, asth = cli.run(mf)["checks"]
+        assert integ["verdict"] == "pass"
+        assert harm["verdict"] == "not-harmonic"
+        assert asth["verdict"] == "fail"
+        assert asth["details"]["error"].startswith("NotHermitian: ")
+        assert (asth["details"]["error_origin"]
+                == "tsgeom.harmonic.astheno_residual")
+
+    @pytest.mark.parametrize("pair", list(_factor_pairs()))
+    def test_j_fixes_omega(self, pair):
+        # the premise of using Omega^(m-2) for J*(Omega^(m-2)):
+        # J^T Omega J = Omega on every product the engine builds
+        F1, F2 = _factor_pairs()[pair]
+        for a, b in DEFAULT_AB_GRID:
+            P = build_product(F1, F2, a, b, validate=False)
+            pts = sample_points(P.chart, 16, 7)
+            Jv, _, _ = geom.eval_endo(JET, P.J, pts)
+            om, _, _ = geom.eval_form(JET, harmonic.kahler_form_field(P), pts)
+            W = np.zeros_like(Jv)
+            i, j = np.triu_indices(P.dim, 1)
+            W[:, i, j], W[:, j, i] = om, -om
+            assert np.max(np.abs(Jv.swapaxes(1, 2) @ W @ Jv - W)) <= 1e-14
+
+    @pytest.mark.parametrize("mode", ["jet", "fd"])
+    def test_ddc_scalar_matches_the_per_point_loop(self, mode):
+        ev = expr.Evaluator(mode, 1e-3)
+        P = make(SAS, KEN, 1.0, 2.0)
+        f = parse("x1*exp(y1) + t2*sin(z1)", P.chart.names)
+        pts = sample_points(P.chart, 32, 7)
+        got = harmonic.ddc_scalar(ev, P, f, pts)
+        want = _ddc_scalar_per_point(ev, P, f, pts)
+        assert got.shape == want.shape == (32, 15)
+        assert np.all(np.abs(got - want)
+                      <= 1e-15 * np.maximum(1.0, np.abs(want)))
+        for i in (0, 17, 31):
+            assert np.array_equal(harmonic.ddc_scalar(ev, P, f, pts[i]),
+                                  got[i])
 
     def test_ddc_scalar_j_invariant(self):
         # f = x1 * exp(x2): dd^c f is a (1,1)-form, so J-pullback fixes it
