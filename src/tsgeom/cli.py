@@ -35,7 +35,9 @@ from .product import (
     DEFAULT_AB_GRID, build_product, connection_closed_form_report,
     curvature_closed_form_report, integrability_report, nabla_J_report,
 )
-from .report import CheckReport, canonical_json, run_report_markdown
+from .report import (
+    CheckReport, canonical_json, classification_markdown, run_report_markdown,
+)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -348,10 +350,15 @@ def _error_origin(exc):
     return f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
 
 
+def _error_record(exc):
+    """A captured domain error: "<ExceptionClass>: <message>" and origin."""
+    return {"error": f"{type(exc).__name__}: {exc}",
+            "error_origin": _error_origin(exc)}
+
+
 def _error_check(name, tol, exc):
     return CheckReport(name, tol, float("inf"), float("inf"), None, "fail",
-                       details={"error": f"{type(exc).__name__}: {exc}",
-                                "error_origin": _error_origin(exc)})
+                       details=_error_record(exc))
 
 
 def run(mf) -> dict:
@@ -467,8 +474,8 @@ def classify(mf) -> dict:
         try:
             info = factor_class_report(ev, F, pts, mf["tol"])
         except DOMAIN_ERRORS as exc:
-            info = {"name": F.structure.name, "error": str(exc),
-                    "error_origin": _error_origin(exc), "class": "unverified"}
+            info = {"name": F.structure.name, **_error_record(exc),
+                    "class": "unverified"}
         info["tag"] = tag
         ok = ok and info.get("class") not in (None, "unverified")
         out.append(info)
@@ -570,18 +577,8 @@ def main(argv=None) -> int:
         if args.command == "classify":
             mf = _apply_flags(load_manifest(args.manifest), args)
             rep = classify(mf)
-            if args.format == "json":
-                text = canonical_json(rep)
-            else:
-                lines = ["factor | alpha | beta | fit residual | class",
-                         "--- | --- | --- | --- | ---"]
-                for info in rep["classification"]:
-                    lines.append(
-                        f"{info.get('tag')} ({info.get('name')}) | "
-                        f"{info.get('alpha', '')} | {info.get('beta', '')} | "
-                        f"{info.get('fit_residual', '')} | {info.get('class')}")
-                text = "\n".join(lines) + "\n"
-            _write(text, args)
+            _write(canonical_json(rep) if args.format == "json"
+                   else classification_markdown(rep), args)
             return exit_code_for(rep)
         if args.command == "report":
             try:

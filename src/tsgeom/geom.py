@@ -167,7 +167,7 @@ def coordinate_field(chart_, i) -> VectorField:
 # Batched field evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_comps(ev: Evaluator, comps, points):
+def _eval_comps(ev: Evaluator, comps, points, order=2):
     """Stacked jets of a nested tuple of component expressions.
 
     For comps nested to shape S (a bare expression has S = ()), returns
@@ -176,8 +176,14 @@ def _eval_comps(ev: Evaluator, comps, points):
     once per call, so the mirrored half of a metric costs one jet. A finite
     constant component (the ZERO entries, structure constants) is not
     evaluated at all: its value is written and its derivatives stay zero.
+
+    order 0 keeps the values, 1 adds the gradients and 2 the Hessians; in
+    jet mode the orders above it are not allocated and come back as None.
+    fd mode returns every order, since its stencil has built them anyway.
     """
     pts = np.asarray(points, dtype=float)
+    if ev.mode == "fd":
+        order = 2
     shape, flat = (), [comps]
     while flat and isinstance(flat[0], tuple):
         shape += (len(flat[0]),)
@@ -187,21 +193,20 @@ def _eval_comps(ev: Evaluator, comps, points):
              else unique.setdefault(e, len(unique)) for e in flat]
     jets = ev.jets(unique, pts)
     base, d = pts.shape[:-1], pts.shape[-1]
-    val = np.empty(base + shape)
-    grad = np.zeros(base + shape + (d,))
-    hess = np.zeros(base + shape + (d, d))
-    flat_val = val.reshape(base + (-1,))
-    flat_grad = grad.reshape(base + (-1, d))
-    flat_hess = hess.reshape(base + (-1, d, d))
+    # out[k] holds the order-k derivatives, k trailing axes of length d
+    out = [np.empty(base + shape)] + [np.zeros(base + shape + (d,) * k)
+                                      for k in range(1, order + 1)]
+    flat_out = [a.reshape(base + (-1,) + (d,) * k) for k, a in enumerate(out)]
+    lead = (slice(None),) * len(base)
     for c, (e, slot) in enumerate(zip(flat, slots)):
+        at = lead + (c,)
         if slot is None:
-            flat_val[..., c] = e.value
+            flat_out[0][at] = e.value
             continue
         j = jets[slot]
-        flat_val[..., c] = j.value
-        flat_grad[..., c, :] = j.grad
-        flat_hess[..., c, :, :] = j.hess
-    return val, grad, hess
+        for a, part in zip(flat_out, (j.value, j.grad, j.hess)):
+            a[at] = part
+    return tuple(out) + (None,) * (2 - order)
 
 
 def eval_scalar(ev: Evaluator, e: Expression, points):
@@ -215,19 +220,19 @@ def scalar_values(ev: Evaluator, e: Expression, points):
     return np.broadcast_to(v, (points.shape[0],))
 
 
-def eval_vector(ev: Evaluator, X: VectorField, points):
+def eval_vector(ev: Evaluator, X: VectorField, points, order=2):
     """Stacked jets: val[..., k], grad[..., k, m] = d_m X^k, hess[..., k, m, n]."""
-    return _eval_comps(ev, X.comps, points)
+    return _eval_comps(ev, X.comps, points, order)
 
 
-def eval_endo(ev: Evaluator, A: EndomorphismField, points):
+def eval_endo(ev: Evaluator, A: EndomorphismField, points, order=2):
     """val[..., i, j], grad[..., i, j, m], hess[..., i, j, m, n]."""
-    return _eval_comps(ev, A.comps, points)
+    return _eval_comps(ev, A.comps, points, order)
 
 
-def eval_oneform(ev: Evaluator, eta: OneFormField, points):
+def eval_oneform(ev: Evaluator, eta: OneFormField, points, order=2):
     """val[..., k], grad[..., k, m], hess[..., k, m, n]."""
-    return _eval_comps(ev, eta.comps, points)
+    return _eval_comps(ev, eta.comps, points, order)
 
 
 def eval_metric(ev: Evaluator, g: MetricField, points):

@@ -259,18 +259,20 @@ class ProductData:
         self.points = pts
         self.md = riemann.MetricData(ev, P.G, pts)
         self.Jv, self.Jg, self.Jh = geom.eval_endo(ev, P.J, pts)
-        self.phi1v, self.phi1g, _ = geom.eval_endo(ev, P.e1.phi, pts)
-        self.phi2v, self.phi2g, _ = geom.eval_endo(ev, P.e2.phi, pts)
-        self.xi1v, self.xi1g, _ = geom.eval_vector(ev, P.e1.xi, pts)
-        self.xi2v, self.xi2g, _ = geom.eval_vector(ev, P.e2.xi, pts)
+        # only G (in MetricData) and J keep Hessians; the rest are read to
+        # first order at most
+        self.phi1v, self.phi1g, _ = geom.eval_endo(ev, P.e1.phi, pts, 1)
+        self.phi2v, self.phi2g, _ = geom.eval_endo(ev, P.e2.phi, pts, 1)
+        self.xi1v, self.xi1g, _ = geom.eval_vector(ev, P.e1.xi, pts, 1)
+        self.xi2v, self.xi2g, _ = geom.eval_vector(ev, P.e2.xi, pts, 1)
         eta1 = geom.one_form_field(P.chart, P.e1.eta)
         eta2 = geom.one_form_field(P.chart, P.e2.eta)
-        self.eta1v, _, _ = geom.eval_oneform(ev, eta1, pts)
-        self.eta2v, _, _ = geom.eval_oneform(ev, eta2, pts)
+        self.eta1v, _, _ = geom.eval_oneform(ev, eta1, pts, 0)
+        self.eta2v, _, _ = geom.eval_oneform(ev, eta2, pts, 0)
         g1f = geom.endo_field(P.chart, P.e1.gblk)
         g2f = geom.endo_field(P.chart, P.e2.gblk)
-        self.g1v, _, _ = geom.eval_endo(ev, g1f, pts)
-        self.g2v, _, _ = geom.eval_endo(ev, g2f, pts)
+        self.g1v, _, _ = geom.eval_endo(ev, g1f, pts, 0)
+        self.g2v, _, _ = geom.eval_endo(ev, g2f, pts, 0)
         self.a1 = geom.scalar_values(ev, P.e1.alpha, pts)
         self.b1 = geom.scalar_values(ev, P.e1.beta, pts)
         self.a2 = geom.scalar_values(ev, P.e2.alpha, pts)
@@ -311,6 +313,7 @@ class ProductData:
         """C0[p,i,j,m] = (nabla_{d_m} J)^i_j and its gradient C1."""
         if self._CJ is None:
             self._CJ = riemann.nabla_endo_all(self.md, self.Jv, self.Jg, self.Jh)
+            del self.Jh  # C1 was its only reader
         return self._CJ
 
     @cached_property

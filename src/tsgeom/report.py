@@ -260,6 +260,30 @@ def _sci(x) -> str:
     return "non-finite" if x is None or not math.isfinite(x) else f"{x:.3e}"
 
 
+def _errors_section(records):
+    """The "## Errors" lines of the (label, record) pairs whose record holds
+    a captured error; none when no record does."""
+    lines = [f"- {label}: {rec['error']} "
+             f"(raised in `{rec.get('error_origin')}`)"
+             for label, rec in records if "error" in rec]
+    return ["", "## Errors"] + lines if lines else []
+
+
+def classification_markdown(rep) -> str:
+    """The `classify` table, then the error of each unverified factor."""
+    lines = ["factor | alpha | beta | fit residual | class",
+             "--- | --- | --- | --- | ---"]
+    labelled = []
+    for info in rep["classification"]:
+        label = f"{info.get('tag')} ({info.get('name')})"
+        lines.append(
+            f"{label} | {info.get('alpha', '')} | {info.get('beta', '')} | "
+            f"{info.get('fit_residual', '')} | {info.get('class')}")
+        labelled.append((label, info))
+    lines += _errors_section(labelled)
+    return "\n".join(lines) + "\n"
+
+
 def run_report_markdown(report_dict) -> str:
     lines = ["# Verification report", ""]
     overall = report_dict.get("overall_verdict", "?")
@@ -274,13 +298,8 @@ def run_report_markdown(report_dict) -> str:
         if chk.get("details", {}).get("table1_rows"):
             lines.append("")
             lines.append(table1_markdown(chk["details"]["table1_rows"]))
-    errors = [chk for chk in report_dict.get("checks", [])
-              if "error" in chk.get("details", {})]
-    if errors:
-        lines += ["", "## Errors"]
-        for chk in errors:
-            lines.append(f"- {chk['name']}: {chk['details']['error']} "
-                         f"(raised in `{chk['details'].get('error_origin')}`)")
+    lines += _errors_section((chk["name"], chk.get("details", {}))
+                             for chk in report_dict.get("checks", []))
     notes = report_dict.get("notes", [])
     if notes:
         lines.append("")

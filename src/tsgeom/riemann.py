@@ -16,8 +16,9 @@ Index conventions, batched over a leading points axis where present:
     C0[..., i, j, m]            (nabla_{d_m} A)^i_j of an endomorphism A
     C1[..., i, j, m, n] = d_n C0
 
-MetricData holds g0 ... gamma1 and riemann() returns riem, each of shape
-(p, d, ...) with the points axis first; nabla_endo_all returns C0 and C1.
+MetricData holds g0, g1 and ginv0 ... gamma1 (g2 only while it builds
+gamma1) and riemann() returns riem, each of shape (p, d, ...) with the
+points axis first; nabla_endo_all returns C0 and C1.
 All of them are C-contiguous in the index order above. The contractions
 that build them are batched matrix products over the points axis, so a
 later product over the trailing indices reads them with unit stride.
@@ -64,7 +65,7 @@ class MetricData:
     def __init__(self, ev: Evaluator, g: MetricField, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         self.points = pts
-        self.g0, self.g1, self.g2 = geom.eval_metric(ev, g, pts)
+        self.g0, self.g1, g2 = geom.eval_metric(ev, g, pts)
         eigs = np.linalg.eigvalsh(self.g0)
         worst = int(np.argmin(eigs[:, 0]))
         if eigs[worst, 0] <= _EIG_FLOOR:
@@ -82,9 +83,11 @@ class MetricData:
         # metric's mirrored entries are one expression), so the first term
         # d_m d_i g_jl = g2[l, j, i, m] and the second d_m d_j g_il =
         # g2[l, i, j, m] are two views of g2, the second one g2 itself
-        dT = self.g2.transpose(0, 1, 3, 2, 4) + self.g2
-        dT -= np.einsum("pijlm->plijm", self.g2)
+        dT = g2.transpose(0, 1, 3, 2, 4) + g2
+        dT -= np.einsum("pijlm->plijm", g2)
         dT *= 0.5
+        # dT was g2's only reader: freed here, its block serves gamma1
+        del g2
         self.gamma0 = (gi @ T.reshape(p, d, d * d)).reshape(p, d, d, d)
         # gamma1[k, (i, j), m] = g^kl d_m T_lij + d_m g^kl T_lij; the second
         # product is written over dT, which the first one has consumed

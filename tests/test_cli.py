@@ -485,3 +485,37 @@ class TestErrorCapture:
         assert chk["verdict"] == "fail"
         assert chk["details"]["error"].startswith("EvalDomainError: ")
         assert chk["details"]["error_origin"].startswith("tsgeom.expr.")
+
+    # g_xx = log(t) is undefined on the t <= 0 half of the sampling box, so
+    # classify cannot evaluate the metric there
+    LOG_METRIC = dict(LOG_FACTOR, name="log_g", alpha="0",
+                      g=[["1", "0", "0"], ["0", "log(t)", "0"],
+                         ["0", "0", "exp(4*t)"]])
+
+    def _log_metric_manifest(self, tmp_path):
+        return write_manifest(tmp_path, {
+            "factors": [{"builtin": "sasakian_heisenberg"},
+                        {"custom": self.LOG_METRIC}],
+            "checks": [],
+            "sampling": {"count": 6},
+        })
+
+    def test_classify_names_the_error_class_as_verify_does(self, tmp_path,
+                                                           capsys):
+        code = main(["classify", self._log_metric_manifest(tmp_path)])
+        assert code == EXIT_FAILED
+        info = json.loads(capsys.readouterr().out)["classification"][1]
+        assert info["class"] == "unverified"
+        assert info["error"].startswith("EvalDomainError: domain error in 'log'")
+        assert info["error_origin"] == "tsgeom.expr.log"
+
+    def test_classify_markdown_shows_why_a_factor_is_unverified(
+            self, tmp_path, capsys):
+        main(["classify", self._log_metric_manifest(tmp_path),
+              "--format", "md"])
+        text = capsys.readouterr().out
+        assert "f2 (log_g) |  |  |  | unverified" in text
+        assert "\n## Errors\n- f2 (log_g): EvalDomainError: domain error " \
+               "in 'log' at point (" in text
+        assert "(raised in `tsgeom.expr.log`)" in text
+        assert text.count("raised in") == 1

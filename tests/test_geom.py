@@ -466,3 +466,45 @@ class TestEvalCompsConstants:
         assert walks == []
         assert np.array_equal(val[0], np.diag([2.0, -1.5, 0.0]))
         assert not grad.any() and not hess.any()
+
+
+class TestEvalCompsOrder:
+    CASES = _comps_cases()
+    SHAPES = [(3,), (5, 3), (2, 4, 3)]
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_jet_orders_are_the_leading_arrays(self, case, order, shape):
+        comps = self.CASES[case]
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=shape)
+        got = geom._eval_comps(JET, comps, pts, order)
+        full = geom._eval_comps(JET, comps, pts)
+        assert len(got) == 3
+        for k in range(order + 1):
+            assert got[k].shape == full[k].shape
+            assert got[k].tobytes() == full[k].tobytes()
+        assert all(a is None for a in got[order + 1:])
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fd_returns_every_order(self, case, order):
+        ev = expr.Evaluator("fd")
+        comps = self.CASES[case]
+        pts = sample_points(R3, 4, seed=2)
+        got = geom._eval_comps(ev, comps, pts, order)
+        want = oracle_eval_comps(ev, comps, pts)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True)
+
+    @pytest.mark.parametrize("name, field", [
+        ("eval_vector", vf(["x*y", "sin(z)", "0"])),
+        ("eval_endo", builtin_factor("sasakian_heisenberg").structure.phi),
+        ("eval_oneform", builtin_factor("sasakian_heisenberg").structure.eta),
+    ])
+    def test_entry_points_pass_the_order(self, name, field):
+        pts = sample_points(field.chart, 4, seed=3)
+        val, grad, hess = getattr(geom, name)(JET, field, pts, 0)
+        assert grad is None and hess is None
+        assert val.tobytes() == getattr(geom, name)(JET, field, pts)[0].tobytes()

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -1114,3 +1115,40 @@ def test_span_stacks_evaluate_no_field(monkeypatch):
         monkeypatch.setattr(geom, name, counted)
     assert [len(pd.stacks[w].idx) for w in (1, 2)] == [3, 3]
     assert calls == []
+
+
+def test_productdata_keeps_hessians_of_g_and_j_only(monkeypatch):
+    """In jet mode the factor fields are evaluated to the order their
+    readers use: phi and xi to first order, eta and the metric blocks as
+    values. Only G (for MetricData's gamma1) and J (for C1) keep Hessians."""
+    P = make(SAS, KEN, a=1.0, b=2.0)
+    requests = []
+    original = geom._eval_comps
+
+    def recording(ev, comps, points, order=2):
+        requests.append((comps, order))
+        return original(ev, comps, points, order)
+
+    monkeypatch.setattr(geom, "_eval_comps", recording)
+    product.ProductData(JET, P, pts(P, 5))
+    want = [(P.G.comps, 2), (P.J.comps, 2)]
+    for emb in (P.e1, P.e2):
+        want += [(emb.phi.comps, 1), (emb.xi.comps, 1),
+                 (geom.one_form_field(P.chart, emb.eta).comps, 0),
+                 (geom.endo_field(P.chart, emb.gblk).comps, 0)]
+    assert Counter(requests) == Counter(want)
+
+
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+def test_nabla_j_drops_the_j_hessian(mode):
+    ev = Evaluator(mode)
+    P = make(SAS, KEN, a=1.0, b=2.0)
+    points = pts(P, 5)
+    pd = product.ProductData(ev, P, points)
+    C0, C1 = pd.nabla_J()
+    assert not hasattr(pd, "Jh")
+    assert pd.nabla_J()[1] is C1
+    want_C0, want_C1 = riemann.nabla_endo_all(
+        pd.md, *geom.eval_endo(ev, P.J, points))
+    assert C0.tobytes() == want_C0.tobytes()
+    assert C1.tobytes() == want_C1.tobytes()

@@ -329,10 +329,9 @@ class TestKernelsAgainstEinsumOracle:
         assert_close(md.riemann(), want["riem"])
 
 
-def three_view_gamma1(md):
+def three_view_gamma1(md, g1, g2):
     """gamma1 with dT summed from three permuted views of g2, as before the
     symmetry of g2 in (i, j) was used; the rest is MetricData's kernel."""
-    g1, g2 = md.g1, md.g2
     p, d = md.npts, md.dim
     T = 0.5 * (np.einsum("pjli->plij", g1) + np.einsum("pilj->plij", g1)
                - np.einsum("pijl->plij", g1))
@@ -346,7 +345,8 @@ def three_view_gamma1(md):
 
 class TestSymmetricDT:
     """dT from one view of g2 is bitwise the three-view sum on real metrics,
-    whose g2 is exactly symmetric in (i, j)."""
+    whose g2 is exactly symmetric in (i, j). MetricData does not keep g2,
+    so the metric jets are evaluated again on the same points."""
 
     @staticmethod
     def _metrics():
@@ -360,9 +360,16 @@ class TestSymmetricDT:
     @pytest.mark.parametrize("name", ["sasakian_heisenberg", "product"])
     def test_gamma1_bitwise(self, name, mode):
         g, ch = self._metrics()[name]
-        md = MetricData(Evaluator(mode), g, geom.sample_points(ch, 16, 3))
-        assert np.array_equal(md.g2, md.g2.swapaxes(1, 2))
-        assert np.array_equal(md.gamma1, three_view_gamma1(md))
+        ev, pts = Evaluator(mode), geom.sample_points(ch, 16, 3)
+        md = MetricData(ev, g, pts)
+        _, g1, g2 = geom.eval_metric(ev, g, pts)
+        assert np.array_equal(g2, g2.swapaxes(1, 2))
+        assert np.array_equal(md.gamma1, three_view_gamma1(md, g1, g2))
+
+    def test_holds_no_g2(self):
+        g, ch = self._metrics()["product"]
+        md = MetricData(JET, g, geom.sample_points(ch, 4, 3))
+        assert "g2" not in vars(md)
 
 
 class TestFrames:
