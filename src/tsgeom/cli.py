@@ -20,12 +20,11 @@ import numpy as np
 
 from . import __version__, contact, expr, geom, harmonic, product, riemann
 from .contact import (
-    AlmostContactMetricStructure, TransSasakianFactor, builtin_factor,
-    factor_class_report, tamper_phi_scale,
-    transverse_curvature_report, transverse_properties_report,
-    validate_axioms, verify_trans_sasakian,
+    ManifestError, _expect, builtin_factor, factor_class_report,
+    factor_from_spec, tamper_phi_scale, transverse_curvature_report,
+    transverse_properties_report, validate_axioms, verify_trans_sasakian,
 )
-from .expr import Evaluator, ParseError, UnknownIdentifier, parse
+from .expr import Evaluator
 from .geom import sample_points
 from .harmonic import (
     astheno_residual, codifferential_report, energy_report,
@@ -51,19 +50,6 @@ PASS_VERDICTS = {"pass", "harmonic"}
 
 DEFAULTS = {"tol": 1e-6, "count": 64, "seed": 7, "mode": "jet",
             "fd_step": 1e-3}
-
-
-class ManifestError(Exception):
-    """Schema violation with a path into the offending JSON node."""
-
-    def __init__(self, path, message):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-
-
-def _expect(cond, path, message):
-    if not cond:
-        raise ManifestError(path, message)
 
 
 def _finite(value, path):
@@ -128,90 +114,15 @@ def _box_overrides(box, factors):
     return out
 
 
-def _constants(e):
-    """The Const nodes of an expression (fold it first to see the constants
-    that the field assembly would make)."""
-    if isinstance(e, expr.Const):
-        return [e]
-    if isinstance(e, expr.Coord):
-        return []
-    if isinstance(e, expr.Unary):
-        return _constants(e.arg)
-    return _constants(e.left) + _constants(e.right)
-
-
-def _parse_expr(src, names, path):
-    try:
-        e = parse(str(src), names)
-    except (ParseError, UnknownIdentifier) as exc:
-        raise ManifestError(path, f"bad expression {src!r}: {exc}") from exc
-    _expect(all(math.isfinite(c.value)
-                for c in _constants(expr.fold_constants(e))), path,
-            f"bad expression {src!r}: it holds a non-finite constant")
-    return e
-
-
-def _load_custom_factor(block, path):
-    _expect(isinstance(block, dict), path, "expected an object")
-    for key in ("dim", "coords", "g", "phi", "xi", "eta"):
-        _expect(key in block, path, f"missing '{key}'")
-    dim = block["dim"]
-    _expect(isinstance(dim, int) and dim >= 3 and dim % 2 == 1, f"{path}.dim",
-            "dim must be an odd integer >= 3")
-    coords = block["coords"]
-    _expect(isinstance(coords, list) and len(coords) == dim
-            and len(set(coords)) == dim,
-            f"{path}.coords", f"need {dim} distinct coordinate names")
-
-    def matrix(key):
-        rows = block[key]
-        _expect(isinstance(rows, list) and len(rows) == dim,
-                f"{path}.{key}", f"expected {dim} rows")
-        out = []
-        for i, row in enumerate(rows):
-            _expect(isinstance(row, list) and len(row) == dim,
-                    f"{path}.{key}[{i}]", f"expected {dim} entries")
-            out.append([_parse_expr(c, coords, f"{path}.{key}[{i}][{j}]")
-                        for j, c in enumerate(row)])
-        return out
-
-    def vector(key):
-        comps = block[key]
-        _expect(isinstance(comps, list) and len(comps) == dim,
-                f"{path}.{key}", f"expected {dim} components")
-        return [_parse_expr(c, coords, f"{path}.{key}[{i}]")
-                for i, c in enumerate(comps)]
-
-    g_rows = matrix("g")
-    # symmetrize structurally: the upper triangle is authoritative
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            g_rows[j][i] = g_rows[i][j]
-    every_expr = [e for row in g_rows for e in row]
-    ch = geom.chart(coords, field_exprs=every_expr)
-    g = geom.metric_field(ch, g_rows)
-    phi = geom.endo_field(ch, matrix("phi"))
-    xi = geom.vector_field(ch, vector("xi"))
-    eta = geom.one_form_field(ch, vector("eta"))
-    name = str(block.get("name", "custom"))
-    S = AlmostContactMetricStructure(ch, phi, xi, eta, g, name=name)
-    alpha = _parse_expr(block.get("alpha", 0.0), coords, f"{path}.alpha")
-    beta = _parse_expr(block.get("beta", 0.0), coords, f"{path}.beta")
-    klass = contact.classify_type(
-        *(e.value if isinstance(e, expr.Const) else 1.0 for e in (alpha, beta)))
-    return TransSasakianFactor(S, alpha, beta, klass)
-
-
 def _load_factor(entry, path):
     _expect(isinstance(entry, dict), path, "expected an object")
     if "builtin" in entry:
-        name = entry["builtin"]
         try:
-            F = builtin_factor(name)
+            F = builtin_factor(entry["builtin"])
         except contact.UnknownModel as exc:
             raise ManifestError(f"{path}.builtin", str(exc)) from exc
     elif "custom" in entry:
-        F = _load_custom_factor(entry["custom"], f"{path}.custom")
+        F = factor_from_spec(entry["custom"], f"{path}.custom")
     else:
         raise ManifestError(path, "need either 'builtin' or 'custom'")
     tamper = entry.get("tamper")
@@ -277,6 +188,8 @@ def resolve_manifest(raw) -> dict:
     for i, c in enumerate(checks):
         _expect(c in ALL_CHECKS, f"$.checks[{i}]",
                 f"unknown check {c!r}; valid: {', '.join(ALL_CHECKS)}")
+        _expect(c not in checks[:i], f"$.checks[{i}]",
+                f"duplicate check {c!r}")
 
     sampling = raw.get("sampling", {})
     _expect(isinstance(sampling, dict), "$.sampling", "expected an object")
@@ -363,6 +276,8 @@ def _error_check(name, tol, exc):
 
 def run(mf) -> dict:
     """Execute the requested checks; returns the report dict."""
+    # a verdict over zero checks would pass with nothing checked
+    _expect(mf["checks"], "$.checks", "no checks requested")
     ev = Evaluator(mf["mode"], mf["fd_step"])
     tol = mf["tol"]
     checks_out = []
@@ -382,8 +297,7 @@ def run(mf) -> dict:
         # a product-coordinate key narrows the sampling box only: J, G and
         # the embedded factor fields keep the chart they were built on
         if ab not in products:
-            P = build_product(f1, f2, ab[0], ab[1], validate=False,
-                              broken_j=mf["broken_j"])
+            P = build_product(f1, f2, ab[0], ab[1], broken_j=mf["broken_j"])
             box = _apply_box_overrides(P.chart, mf["box_overrides"], "product")
             products[ab] = (P, sample_points(box, mf["count"], mf["seed"]))
         return products[ab]

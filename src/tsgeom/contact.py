@@ -1,13 +1,15 @@
 """Almost contact metric structures and their trans-Sasakian verification.
 
-The module owns the built-in model catalog (flat cosymplectic, Sasakian
-Heisenberg, warped Kenmotsu), the axiom/normality checks, the (alpha, beta)
-least-squares estimator, and the transverse Levi-Civita machinery on the
-contact distribution D = ker eta.
+The module owns the factor loader, which builds every factor from a spec in
+the manifest's "custom" format, and the built-in specs (flat cosymplectic,
+Sasakian Heisenberg, warped Kenmotsu); the axiom/normality checks, the
+(alpha, beta) least-squares estimator, and the transverse Levi-Civita
+machinery on the contact distribution D = ker eta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,85 +93,142 @@ def classify_type(alpha: float, beta: float, tol=1e-8) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Built-in model catalog
+# Factor specs: the manifest's "custom" format, and the built-in catalog
 # ---------------------------------------------------------------------------
 
-# Heisenberg scaling constants, fixed by the calibration run
-# (estimate_alpha_beta must return (1, 0)): eta = C*(dz - y dx),
-# g = eta (x) eta + C^2 * S * (dx^2 + dy^2). The covariant identity
-# nabla_X xi = -alpha phi X holds with alpha = 1/(2*C*S), so C*S = 1/2.
-HEISENBERG_C = 0.5
-HEISENBERG_S = 1.0
+class ManifestError(Exception):
+    """Schema violation with a path into the offending JSON node."""
+
+    def __init__(self, path, message):
+        super().__init__(f"{path}: {message}")
+        self.path = path
 
 
-def _parse_all(names, rows):
-    return [[parse(c, names) for c in row] for row in rows]
+def _expect(cond, path, message):
+    if not cond:
+        raise ManifestError(path, message)
+
+
+def _constants(e):
+    """The Const nodes of an expression (fold it first to see the constants
+    that the field assembly would make)."""
+    if isinstance(e, expr.Const):
+        return [e]
+    if isinstance(e, expr.Coord):
+        return []
+    if isinstance(e, expr.Unary):
+        return _constants(e.arg)
+    return _constants(e.left) + _constants(e.right)
+
+
+def _parse_expr(src, names, path):
+    try:
+        e = parse(str(src), names)
+    except (expr.ParseError, expr.UnknownIdentifier) as exc:
+        raise ManifestError(path, f"bad expression {src!r}: {exc}") from exc
+    _expect(all(math.isfinite(c.value)
+                for c in _constants(expr.fold_constants(e))), path,
+            f"bad expression {src!r}: it holds a non-finite constant")
+    return e
+
+
+def factor_from_spec(block, path) -> TransSasakianFactor:
+    """The factor of a spec in the manifest's "custom" format; a schema
+    violation raises ManifestError at its path below ``path``."""
+    _expect(isinstance(block, dict), path, "expected an object")
+    for key in ("dim", "coords", "g", "phi", "xi", "eta"):
+        _expect(key in block, path, f"missing '{key}'")
+    dim = block["dim"]
+    _expect(isinstance(dim, int) and dim >= 3 and dim % 2 == 1, f"{path}.dim",
+            "dim must be an odd integer >= 3")
+    coords = block["coords"]
+    _expect(isinstance(coords, list) and len(coords) == dim
+            and len(set(coords)) == dim,
+            f"{path}.coords", f"need {dim} distinct coordinate names")
+
+    def matrix(key):
+        rows = block[key]
+        _expect(isinstance(rows, list) and len(rows) == dim,
+                f"{path}.{key}", f"expected {dim} rows")
+        out = []
+        for i, row in enumerate(rows):
+            _expect(isinstance(row, list) and len(row) == dim,
+                    f"{path}.{key}[{i}]", f"expected {dim} entries")
+            out.append([_parse_expr(c, coords, f"{path}.{key}[{i}][{j}]")
+                        for j, c in enumerate(row)])
+        return out
+
+    def vector(key):
+        comps = block[key]
+        _expect(isinstance(comps, list) and len(comps) == dim,
+                f"{path}.{key}", f"expected {dim} components")
+        return [_parse_expr(c, coords, f"{path}.{key}[{i}]")
+                for i, c in enumerate(comps)]
+
+    g_rows = matrix("g")
+    # symmetrize structurally: the upper triangle is authoritative
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            g_rows[j][i] = g_rows[i][j]
+    ch = chart(coords, field_exprs=[e for row in g_rows for e in row])
+    g = metric_field(ch, g_rows)
+    phi = endo_field(ch, matrix("phi"))
+    xi = vector_field(ch, vector("xi"))
+    eta = one_form_field(ch, vector("eta"))
+    name = str(block.get("name", "custom"))
+    S = AlmostContactMetricStructure(ch, phi, xi, eta, g, name=name)
+    alpha = _parse_expr(block.get("alpha", 0.0), coords, f"{path}.alpha")
+    beta = _parse_expr(block.get("beta", 0.0), coords, f"{path}.beta")
+    klass = classify_type(
+        *(e.value if isinstance(e, expr.Const) else 1.0 for e in (alpha, beta)))
+    return TransSasakianFactor(S, alpha, beta, klass)
+
+
+BUILTIN_SPECS = {
+    "cosymplectic_flat": {
+        "name": "cosymplectic_flat",
+        "dim": 3, "coords": ["x", "y", "z"],
+        "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        # phi: dx -> dy, dy -> -dx, dz -> 0
+        "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+        "xi": ["0", "0", "1"],
+        "eta": ["0", "0", "1"],
+        "alpha": 0.0, "beta": 0.0,
+    },
+    # eta = C (dz - y dx), xi = (1/C) dz, g = eta (x) eta + C^2 S (dx^2 + dy^2)
+    # with C = 0.5 and S = 1, fixed by the calibration run (estimate_alpha_beta
+    # must return (1, 0)): nabla_X xi = -alpha phi X holds with
+    # alpha = 1/(2 C S), so C S = 1/2.
+    "sasakian_heisenberg": {
+        "name": "sasakian_heisenberg",
+        "dim": 3, "coords": ["x", "y", "z"],
+        "g": [["0.25*y*y + 0.25", "0", "-0.25*y"],
+              ["0", "0.25", "0"],
+              ["-0.25*y", "0", "0.25"]],
+        # phi: dx -> -dy, dy -> dx + y dz, dz -> 0  (so that d(eta) = Phi)
+        "phi": [["0", "1", "0"], ["-1", "0", "0"], ["0", "y", "0"]],
+        "xi": ["0", "0", "2.0"],
+        "eta": ["-0.5*y", "0", "0.5"],
+        "alpha": 1.0, "beta": 0.0,
+    },
+    "kenmotsu_warped": {
+        "name": "kenmotsu_warped",
+        "dim": 3, "coords": ["t", "x", "y"],
+        "g": [["1", "0", "0"], ["0", "exp(2*t)", "0"], ["0", "0", "exp(2*t)"]],
+        # phi: dx -> dy, dy -> -dx, dt -> 0
+        "phi": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+        "xi": ["1", "0", "0"],
+        "eta": ["1", "0", "0"],
+        "alpha": 0.0, "beta": 1.0,
+    },
+}
 
 
 def builtin_factor(name: str) -> TransSasakianFactor:
-    if name == "cosymplectic_flat":
-        names = ("x", "y", "z")
-        ch = chart(names)
-        g = metric_field(ch, _parse_all(names, [["1", "0", "0"],
-                                                ["0", "1", "0"],
-                                                ["0", "0", "1"]]))
-        # phi: dx -> dy, dy -> -dx, dz -> 0
-        phi = endo_field(ch, _parse_all(names, [["0", "-1", "0"],
-                                                ["1", "0", "0"],
-                                                ["0", "0", "0"]]))
-        xi = vector_field(ch, [parse(c, names) for c in ("0", "0", "1")])
-        eta = one_form_field(ch, [parse(c, names) for c in ("0", "0", "1")])
-        S = AlmostContactMetricStructure(ch, phi, xi, eta, g, name=name)
-        return TransSasakianFactor(S, expr.const(0.0), expr.const(0.0),
-                                   "cosymplectic")
+    if not (isinstance(name, str) and name in BUILTIN_SPECS):
+        raise UnknownModel(f"no built-in factor named '{name}'")
+    return factor_from_spec(BUILTIN_SPECS[name], f"BUILTIN_SPECS[{name!r}]")
 
-    if name == "sasakian_heisenberg":
-        names = ("x", "y", "z")
-        ch = chart(names)
-        c, s = HEISENBERG_C, HEISENBERG_S
-        k = c * c * s  # transverse metric scale
-        # eta = c (dz - y dx), xi = (1/c) dz
-        eta_comps = (f"{-c}*y", "0", f"{c}")
-        g_rows = [
-            [f"{c * c}*y*y + {k}", "0", f"{-c * c}*y"],
-            ["0", f"{k}", "0"],
-            [f"{-c * c}*y", "0", f"{c * c}"],
-        ]
-        # phi: dx -> -dy, dy -> dx + y dz, dz -> 0  (so that d(eta) = Phi)
-        phi_rows = [["0", "1", "0"],
-                    ["-1", "0", "0"],
-                    ["0", "y", "0"]]
-        g = metric_field(ch, _parse_all(names, g_rows))
-        phi = endo_field(ch, _parse_all(names, phi_rows))
-        xi = vector_field(ch, [parse(c_, names) for c_ in ("0", "0", f"{1.0 / c}")])
-        eta = one_form_field(ch, [parse(c_, names) for c_ in eta_comps])
-        S = AlmostContactMetricStructure(ch, phi, xi, eta, g, name=name)
-        return TransSasakianFactor(S, expr.const(1.0), expr.const(0.0),
-                                   "sasakian")
-
-    if name == "kenmotsu_warped":
-        names = ("t", "x", "y")
-        w = parse("exp(2*t)", names)
-        ch = chart(names, field_exprs=[w])
-        g_rows = [["1", "0", "0"],
-                  ["0", "exp(2*t)", "0"],
-                  ["0", "0", "exp(2*t)"]]
-        # phi: dx -> dy, dy -> -dx, dt -> 0
-        phi_rows = [["0", "0", "0"],
-                    ["0", "0", "-1"],
-                    ["0", "1", "0"]]
-        g = metric_field(ch, _parse_all(names, g_rows))
-        phi = endo_field(ch, _parse_all(names, phi_rows))
-        xi = vector_field(ch, [parse(c, names) for c in ("1", "0", "0")])
-        eta = one_form_field(ch, [parse(c, names) for c in ("1", "0", "0")])
-        S = AlmostContactMetricStructure(ch, phi, xi, eta, g, name=name)
-        return TransSasakianFactor(S, expr.const(0.0), expr.const(1.0),
-                                   "kenmotsu")
-
-    raise UnknownModel(f"no built-in factor named '{name}'")
-
-
-BUILTIN_NAMES = ("cosymplectic_flat", "sasakian_heisenberg", "kenmotsu_warped")
 
 _CLASS_REPRESENTATIVE = {
     "sasakian": "sasakian_heisenberg",

@@ -557,9 +557,9 @@ def eval_jet_batch(e: Expression, points: np.ndarray) -> Jet2:
             base = eval_jet_batch(e.left, points)
             expo = e.right.value
             integer = float(expo).is_integer()
+            pos = _pow_domain(base.value, expo, integer, points)
             if integer and abs(expo) <= _POW_MUL_LIMIT:
                 return base.powi(int(expo), points)
-            pos = _pow_domain(base.value, expo, integer, points)
             # exp(e * log(base)) where the base is positive
             lg = Jet2(np.where(pos, base.value, 1.0), base.grad,
                       base.hess).log(points)
@@ -592,10 +592,11 @@ def Coord_eval(e, points):
 
 
 def _pow_domain(base, expo, integer, points):
-    """Where base^expo takes the exp-log route: the mask of positive bases.
+    """The domain of base^expo, checked before either route is taken.
 
     A non-integer power needs a positive base everywhere, and a negative
     integer power a non-zero one; anything else raises EvalDomainError('^').
+    Returns the mask of positive bases, where the exp-log route applies.
     """
     pos = base > 0.0
     bad = ~pos if not integer else (base == 0.0) & (expo < 0)
@@ -639,9 +640,9 @@ def eval_value(e: Expression, points: np.ndarray):
             a = eval_value(e.left, points)
             expo = e.right.value
             integer = float(expo).is_integer()
+            pos = _pow_domain(a, expo, integer, points)
             if integer and abs(expo) <= _POW_MUL_LIMIT:
                 return a ** int(expo)
-            pos = _pow_domain(a, expo, integer, points)
             out = np.exp(expo * np.log(np.where(pos, a, 1.0)))
             return out if pos.all() else np.where(pos, out, a ** int(expo))
         a = eval_value(e.left, points)

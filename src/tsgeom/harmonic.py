@@ -407,8 +407,7 @@ def table1_suite(ev: Evaluator, tol, samples=64, seed=7,
         row_max = 0.0
         verdicts = []
         for (a, b) in ab_grid:
-            P = build_product(F1, F2, a, b, validate=False,
-                              broken_j=broken_j)
+            P = build_product(F1, F2, a, b, broken_j=broken_j)
             pts = geom.sample_points(P.chart, samples, seed)
             rep = harmonicity_report(ev, P, pts, tol)
             verdicts.append(rep.verdict)

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr, geom, riemann
-from .contact import TransSasakianFactor, validate_axioms
+from .contact import TransSasakianFactor
 from .expr import Evaluator
 from .geom import (
     ChartDomain, EndomorphismField, MetricField, VectorField, endo_field,
@@ -40,10 +40,6 @@ class ProductError(Exception):
 
 
 class ZeroB(ProductError):
-    pass
-
-
-class UnvalidatedFactor(ProductError):
     pass
 
 
@@ -126,8 +122,7 @@ class ProductHermitian:
 
 
 def build_product(f1: TransSasakianFactor, f2: TransSasakianFactor,
-                  a: float, b: float, *, validate=True, ev=None,
-                  broken_j=False) -> ProductHermitian:
+                  a: float, b: float, *, broken_j=False) -> ProductHermitian:
     """Assemble (J, G) on the product chart from the factor structures.
 
     broken_j is a negative control: the Reeb-mixing coefficient b is doubled
@@ -135,16 +130,6 @@ def build_product(f1: TransSasakianFactor, f2: TransSasakianFactor,
     """
     if b == 0:
         raise ZeroB("the structure requires b != 0")
-    if validate:
-        evv = ev or expr.JET
-        for F in (f1, f2):
-            if F.klass == "unverified":
-                raise UnvalidatedFactor(F.structure.name)
-            smoke = geom.sample_points(F.chart, 8, seed=11)
-            rep = validate_axioms(evv, F.structure, smoke, 1e-6)
-            if rep.verdict != "pass":
-                raise UnvalidatedFactor(
-                    f"{F.structure.name}: axiom residual {rep.max_residual:.3e}")
 
     d1, d2 = f1.chart.dim, f2.chart.dim
     total = d1 + d2

@@ -60,8 +60,7 @@ def closed_form_runs(factors):
     out = {}
     for (n1, n2) in CLASS_PAIRS:
         for ab in DEFAULT_AB_GRID:
-            P = build_product(factors[n1], factors[n2], ab[0], ab[1],
-                              validate=False)
+            P = build_product(factors[n1], factors[n2], ab[0], ab[1])
             pts = sample_points(P.chart, N_POINTS, SEED)
             out[(n1, n2, ab)] = {
                 "connection": connection_closed_form_report(JET, P, pts, 1e-6),
@@ -194,8 +193,7 @@ class TestCriterion6_Codifferential:
     def test_frame_sum_vs_resolved_closed_form(self, factors):
         for (n1, n2) in CLASS_PAIRS:
             for ab in DEFAULT_AB_GRID:
-                P = build_product(factors[n1], factors[n2], ab[0], ab[1],
-                                  validate=False)
+                P = build_product(factors[n1], factors[n2], ab[0], ab[1])
                 pd = product.ProductData(
                     JET, P, sample_points(P.chart, 25, SEED))
                 delta, variants = codifferential_J(pd)
@@ -209,8 +207,7 @@ class TestCriterion6_Codifferential:
            "< 1e-6 and nabla_deltaJ J < 1e-6 everywhere")
 
     def test_spot_value_sasakian_cosymplectic(self, factors):
-        P = build_product(factors[SAS], factors[FLAT], 1.0, 1.0,
-                          validate=False)
+        P = build_product(factors[SAS], factors[FLAT], 1.0, 1.0)
         pd = product.ProductData(JET, P, sample_points(P.chart, 10, SEED))
         delta, _ = codifferential_J(pd)
         assert delta == pytest.approx(2.0 * pd.xi1v, abs=1e-6)
@@ -220,8 +217,7 @@ class TestCriterion6_Codifferential:
         # the transcribed closed form gives 4 xi2 at a = b = 1; the frame sum
         # (confirmed by hand Christoffels of the explicit warped product)
         # gives -2 xi1 + 2 xi2; the divergence must be detected and recorded
-        P = build_product(factors[KEN], factors[KEN], 1.0, 1.0,
-                          validate=False)
+        P = build_product(factors[KEN], factors[KEN], 1.0, 1.0)
         pd = product.ProductData(JET, P, sample_points(P.chart, 10, SEED))
         delta, variants = codifferential_J(pd)
         assert delta == pytest.approx(-2.0 * pd.xi1v + 2.0 * pd.xi2v,
@@ -244,8 +240,7 @@ class TestCriterion6_Codifferential:
                "Koszul rederivation, and explicit hand Christoffels) give "
                "-2 xi1 + 2 xi2; see the decisions ledger")
     def test_spot_value_kenmotsu_kenmotsu_as_transcribed(self, factors):
-        P = build_product(factors[KEN], factors[KEN], 1.0, 1.0,
-                          validate=False)
+        P = build_product(factors[KEN], factors[KEN], 1.0, 1.0)
         pd = product.ProductData(JET, P, sample_points(P.chart, 5, SEED))
         delta, _ = codifferential_J(pd)
         assert delta[0] == pytest.approx(4.0 * pd.xi2v[0], abs=1e-6)
@@ -267,8 +262,7 @@ class TestCriterion7_Table1:
         worst = 0.0
         for (n1, n2) in [(SAS, SAS), (SAS, KEN), (KEN, KEN), (FLAT, KEN)]:
             for ab in ((1.0, 1.0), (-2.0, 3.0)):
-                P = build_product(factors[n1], factors[n2], ab[0], ab[1],
-                                  validate=False)
+                P = build_product(factors[n1], factors[n2], ab[0], ab[1])
                 rep = harmonicity_report(
                     JET, P, sample_points(P.chart, 30, SEED), 1e-6)
                 fam = rep.details["families"][
@@ -288,13 +282,12 @@ class TestCriterion8_Astheno:
         for ab in DEFAULT_AB_GRID:
             for pair in ((FLAT, FLAT), (SAS, FLAT)):
                 P = build_product(factors[pair[0]], factors[pair[1]],
-                                  ab[0], ab[1], validate=False)
+                                  ab[0], ab[1])
                 rep = astheno_residual(
                     JET, P, sample_points(P.chart, N_POINTS, SEED), 1e-6)
                 assert rep.verdict == "pass", (pair, ab, rep.max_residual)
                 assert rep.max_residual < 1e-6
-        P = build_product(factors[SAS], factors[SAS], 0.0, 1.0,
-                          validate=False)
+        P = build_product(factors[SAS], factors[SAS], 0.0, 1.0)
         rep = astheno_residual(JET, P,
                                sample_points(P.chart, N_POINTS, SEED), 1e-6)
         assert rep.verdict == "pass" and rep.max_residual < 1e-6
@@ -302,8 +295,7 @@ class TestCriterion8_Astheno:
            "m = 3 cases")
 
     def test_sasakian_pair_scope(self, factors):
-        P = build_product(factors[SAS], factors[SAS], 1.0, 1.0,
-                          validate=False)
+        P = build_product(factors[SAS], factors[SAS], 1.0, 1.0)
         rep = astheno_residual(JET, P, sample_points(P.chart, 20, SEED),
                                1e-6)
         assert rep.verdict == "fail" and rep.max_residual > 0.1
@@ -311,8 +303,7 @@ class TestCriterion8_Astheno:
            "astheno (scope control)")
 
     def test_m2_short_circuit_exact_zero(self, factors):
-        P = build_product(factors[FLAT], factors[FLAT], 0.0, 1.0,
-                          validate=False)
+        P = build_product(factors[FLAT], factors[FLAT], 0.0, 1.0)
         rep = astheno_residual(JET, P, sample_points(P.chart, 3, SEED), 1e-6,
                                m_override=2)
         assert rep.max_residual == 0.0 and rep.verdict == "pass"

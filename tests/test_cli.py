@@ -1,9 +1,11 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsgeom import cli, product, report
+from tsgeom import cli, contact, product, report
 from tsgeom.cli import (
     EXIT_CONFIG, EXIT_FAILED, EXIT_OK, ManifestError, load_manifest, main,
     resolve_manifest, run,
@@ -68,10 +70,51 @@ class TestManifest:
         assert "$.checks[0]" in str(err.value)
 
     def test_unknown_builtin(self, tmp_path):
-        data = dict(MINIMAL, factors=[{"builtin": "warp_core"},
-                                      {"builtin": "cosymplectic_flat"}])
-        with pytest.raises(ManifestError):
-            load_manifest(write_manifest(tmp_path, data))
+        for name in ("warp_core", ["cosymplectic_flat"]):
+            data = dict(MINIMAL, factors=[{"builtin": name},
+                                          {"builtin": "cosymplectic_flat"}])
+            with pytest.raises(ManifestError) as err:
+                load_manifest(write_manifest(tmp_path, data))
+            assert err.value.path == "$.factors[0].builtin"
+
+    def test_duplicate_check_exit_2_with_path(self, tmp_path, capsys):
+        data = dict(MINIMAL, checks=["axioms", "harmonicity", "axioms"])
+        with pytest.raises(ManifestError) as err:
+            resolve_manifest(data)
+        assert err.value.path == "$.checks[2]"
+        assert main(["verify", write_manifest(tmp_path, data)]) == EXIT_CONFIG
+        assert "$.checks[2]: duplicate check 'axioms'" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(contact.BUILTIN_SPECS))
+    def test_builtin_spec_as_custom_factor_is_the_builtin(self, name):
+        def manifest(entry):
+            return resolve_manifest({
+                "factors": [entry, {"builtin": "kenmotsu_warped"}],
+                "product": {"a": 1.0, "b": 1.0},
+                "checks": [c for c in cli.ALL_CHECKS if c != "table1"],
+                "sampling": {"count": 4}})
+
+        custom = manifest({"custom": contact.BUILTIN_SPECS[name]})
+        builtin = manifest({"builtin": name})
+        Fc, Fb = custom["factors"][0], builtin["factors"][0]
+        for obj_c, obj_b in ((Fc, Fb), (Fc.structure, Fb.structure)):
+            for field in dataclasses.fields(obj_b):
+                assert (getattr(obj_c, field.name)
+                        == getattr(obj_b, field.name)), field.name
+        reports = []
+        for mf in (custom, builtin):
+            rep = strip_timings(run(mf))
+            rep["manifest"] = dict(rep["manifest"], factors=None)
+            reports.append(canonical_json(rep))
+        assert reports[0] == reports[1]
+
+    def test_readme_builtin_example_is_the_spec(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Built-in factors:")[1].split("```json")[1]
+        example = json.loads(block.split("```")[0])
+        assert example == {"custom": contact.BUILTIN_SPECS[
+            "sasakian_heisenberg"]}
 
     @pytest.mark.parametrize("edit, path", [
         ({"sampling": {"count": "abc"}}, "$.sampling.count"),
@@ -212,12 +255,22 @@ class TestRun:
         for fam in chk["details"]["families"].values():
             assert fam["worst_point"][names.index(name)] == 0.1
 
-    def test_empty_checks_report_only(self):
-        mf = resolve_manifest(dict(MINIMAL, checks=[]))
-        out = run(mf)
-        assert out["checks"] == []
-        assert out["overall_verdict"] == "pass"
-        assert cli.exit_code_for(out) == EXIT_OK
+    @pytest.mark.parametrize("checks", [None, []], ids=["absent", "empty"])
+    def test_no_checks_exit_2_and_classify_still_runs(self, tmp_path, capsys,
+                                                      checks):
+        data = dict(MINIMAL, sampling={"count": 4})
+        data.pop("checks")
+        if checks is not None:
+            data["checks"] = checks
+        m = write_manifest(tmp_path, data)
+        with pytest.raises(ManifestError) as err:
+            run(resolve_manifest(data))
+        assert err.value.path == "$.checks"
+        assert main(["verify", m]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "$.checks: no checks requested" in captured.err
+        assert main(["classify", m]) == EXIT_OK
 
     def test_broken_j_control_fails(self):
         mf = resolve_manifest({

@@ -17,7 +17,7 @@ from tsgeom.report import CheckReport, ResidualTracker
 
 @pytest.fixture(scope="module")
 def factors():
-    return {name: builtin_factor(name) for name in contact.BUILTIN_NAMES}
+    return {name: builtin_factor(name) for name in contact.BUILTIN_SPECS}
 
 
 def pts(F, n=30, seed=7):
@@ -29,7 +29,7 @@ class TestBuiltins:
         with pytest.raises(UnknownModel):
             builtin_factor("nope")
 
-    @pytest.mark.parametrize("name", contact.BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(contact.BUILTIN_SPECS))
     def test_axioms_pass(self, factors, name):
         F = factors[name]
         rep = validate_axioms(JET, F.structure, pts(F, 100), 1e-8)
@@ -73,7 +73,7 @@ class TestFundamentalForm:
         assert fundamental_form(JET, F.structure, X, Y, [0.1, 0.2, 0.3]) == \
             pytest.approx(-1.0)
 
-    @pytest.mark.parametrize("name", contact.BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(contact.BUILTIN_SPECS))
     def test_reeb_contraction_vanishes(self, factors, name):
         F = factors[name]
         for p in pts(F, 10):
@@ -97,7 +97,7 @@ class TestNormality:
         out = normality_residual(JET, F.structure, X, Y, [0.3, 0.7, -0.2])
         assert out == pytest.approx(np.zeros(3), abs=1e-12)
 
-    @pytest.mark.parametrize("name", contact.BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(contact.BUILTIN_SPECS))
     def test_builtin_models_normal(self, factors, name):
         F = factors[name]
         fields = d_span_fields(F.structure) + [F.structure.xi]
@@ -107,7 +107,7 @@ class TestNormality:
                     r = normality_residual(JET, F.structure, X, Y, p)
                     assert np.max(np.abs(r)) < 1e-7
 
-    @pytest.mark.parametrize("name", contact.BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(contact.BUILTIN_SPECS))
     def test_reeb_phi_bracket_commutation(self, factors, name):
         # phi [xi, X] = [xi, phi X] for normal structures
         F = factors[name]
@@ -147,7 +147,7 @@ class TestCovariantPhiCharacterizations:
 
 
 class TestTransSasakianIdentities:
-    @pytest.mark.parametrize("name", contact.BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(contact.BUILTIN_SPECS))
     def test_builtins_pass(self, factors, name):
         F = factors[name]
         rep = verify_trans_sasakian(JET, F, pts(F, 100), 1e-7)
@@ -182,7 +182,7 @@ class TestTransverse:
         out = transverse_derivative(JET, F, S.xi, e1, [0.4, 0.3, -0.5])
         assert out.vector == pytest.approx(np.zeros(3), abs=1e-10)
 
-    @pytest.mark.parametrize("name", contact.BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(contact.BUILTIN_SPECS))
     def test_result_in_d(self, factors, name):
         F = factors[name]
         S = F.structure
@@ -200,13 +200,13 @@ class TestTransverse:
         with pytest.raises(NotASectionOfD):
             transverse_derivative(JET, F, X, F.structure.xi, [0.0, 0.0, 0.0])
 
-    @pytest.mark.parametrize("name", contact.BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(contact.BUILTIN_SPECS))
     def test_properties_report(self, factors, name):
         F = factors[name]
         rep = transverse_properties_report(JET, F, pts(F, 25), 1e-7)
         assert rep.verdict == "pass", rep.details
 
-    @pytest.mark.parametrize("name", contact.BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(contact.BUILTIN_SPECS))
     def test_curvature_report(self, factors, name):
         F = factors[name]
         rep = transverse_curvature_report(JET, F, pts(F, 15), 1e-6)
@@ -228,7 +228,7 @@ class TestTransverse:
 
 
 class TestPhiCurvatureCommutation:
-    @pytest.mark.parametrize("name", contact.BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(contact.BUILTIN_SPECS))
     def test_zero_product_classes(self, factors, name):
         F = factors[name]
         S = F.structure
@@ -611,7 +611,7 @@ def _phi_vanishing_on_x0():
                                        parse("0", names), "unverified")
 
 
-ORACLE_FACTORS = list(contact.BUILTIN_NAMES) + ["kenmotsu_beta2",
+ORACLE_FACTORS = list(contact.BUILTIN_SPECS) + ["kenmotsu_beta2",
                                                 "sasakian_heisenberg~phi*1.1",
                                                 "phi_vanishing_on_x0"]
 

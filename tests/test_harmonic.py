@@ -20,7 +20,6 @@ FLAT, SAS, KEN = "cosymplectic_flat", "sasakian_heisenberg", "kenmotsu_warped"
 
 
 def make(n1, n2, a, b, **kw):
-    kw.setdefault("validate", False)
     return build_product(builtin_factor(n1), builtin_factor(n2), a, b, **kw)
 
 
@@ -354,7 +353,7 @@ class TestAstheno:
     @pytest.mark.parametrize("pair", ["canonical", "kenmotsu_beta2"])
     def test_matches_the_pullback_of_the_power(self, pair):
         P = (make(SAS, KEN, 1.0, 1.0) if pair == "canonical" else
-             build_product(*_kenmotsu_beta2(), 1.0, 2.0, validate=False))
+             build_product(*_kenmotsu_beta2(), 1.0, 2.0))
         points = sample_points(P.chart, 6, 7)
         got = astheno_residual(JET, P, points, 1e-6)
         want = _astheno_of_the_pulled_back_power(P, points, 1e-6)
@@ -368,7 +367,7 @@ class TestAstheno:
             "product": {"a": 1.0, "b": 1.0}, "checks": ["astheno"],
             "sampling": {"count": 4, "seed": 7}})
         rep = cli.run(mf)["checks"][0]
-        P = build_product(*mf["factors"], 1.0, 1.0, validate=False)
+        P = build_product(*mf["factors"], 1.0, 1.0)
         assert P.m_complex == 4
         points = sample_points(P.chart, 4, 7)
         want = _astheno_of_the_pulled_back_power(P, points, mf["tol"])
@@ -385,7 +384,7 @@ class TestAstheno:
         F1 = cli.resolve_manifest(
             {"factors": [{"custom": STRETCHED_FLAT}, {"builtin": FLAT}]}
         )["factors"][0]
-        P = build_product(F1, builtin_factor(FLAT), 0.0, 1.0, validate=False)
+        P = build_product(F1, builtin_factor(FLAT), 0.0, 1.0)
         pts = sample_points(P.chart, 4, 7)
         with pytest.raises(NotHermitian, match="residual 1.000e"):
             astheno_residual(JET, P, pts, 1e-6)
@@ -412,7 +411,7 @@ class TestAstheno:
         # J^T Omega J = Omega on every product the engine builds
         F1, F2 = _factor_pairs()[pair]
         for a, b in DEFAULT_AB_GRID:
-            P = build_product(F1, F2, a, b, validate=False)
+            P = build_product(F1, F2, a, b)
             pts = sample_points(P.chart, 16, 7)
             Jv, _, _ = geom.eval_endo(JET, P.J, pts)
             om, _, _ = geom.eval_form(JET, harmonic.kahler_form_field(P), pts)
@@ -579,7 +578,7 @@ class TestBatchedAgainstPointwiseOracle:
     @pytest.mark.parametrize("k1,k2,ab", CASES)
     def test_reports_match_oracle(self, k1, k2, ab):
         P = build_product(contact.factor_for_class(k1),
-                          contact.factor_for_class(k2), *ab, validate=False)
+                          contact.factor_for_class(k2), *ab)
         pts = sample_points(P.chart, 24, 7)
         o = _oracle(ProductData(JET, P, pts))
         tol = self.TOL
@@ -668,7 +667,7 @@ class TestFrameContractionsAgainstFrameLoops:
     @pytest.mark.parametrize("k1,k2,ab", CASES)
     def test_table1_products(self, k1, k2, ab):
         P = build_product(contact.factor_for_class(k1),
-                          contact.factor_for_class(k2), *ab, validate=False)
+                          contact.factor_for_class(k2), *ab)
         pd = ProductData(JET, P, sample_points(P.chart, 8, 7))
         C0, _ = pd.nabla_J()
         _all_close(rough_laplacian_J(pd), oracle_rough_laplacian_J(pd))

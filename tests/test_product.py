@@ -12,7 +12,7 @@ from tsgeom.contact import builtin_factor
 from tsgeom.expr import JET, Evaluator, parse
 from tsgeom.geom import sample_points
 from tsgeom.product import (
-    DEFAULT_AB_GRID, UnvalidatedFactor, ZeroB, build_product,
+    DEFAULT_AB_GRID, ZeroB, build_product,
     connection_closed_form_report, curvature_closed_form_report,
     integrability_report, nabla_J_report, product_invariants_report,
 )
@@ -87,11 +87,6 @@ class TestBuild:
     def test_zero_b(self):
         with pytest.raises(ZeroB):
             make(a=1.0, b=0.0)
-
-    def test_unvalidated_factor(self):
-        bad = contact.tamper_phi_scale(builtin_factor(FLAT), 1.1)
-        with pytest.raises(UnvalidatedFactor):
-            build_product(bad, builtin_factor(FLAT), 0.0, 1.0)
 
     def test_J_on_reeb_a1_b1(self):
         P = make(SAS, KEN, a=1.0, b=1.0)
@@ -348,7 +343,7 @@ class TestAdjudication:
         path = (Path(__file__).resolve().parents[1] / "manifests"
                 / "custom_kenmotsu_beta2.json")
         F1, F2 = cli.load_manifest(path)["factors"]
-        P = build_product(F1, F2, ab[0], ab[1], validate=False)
+        P = build_product(F1, F2, ab[0], ab[1])
         points = pts(P, 8)
         got = {}
         for fn in (connection_closed_form_report, nabla_J_report,
@@ -723,7 +718,7 @@ class TestBatchedAgainstPointwiseOracle:
             F1, F2 = _kenmotsu_beta2()
         else:
             F1, F2 = (contact.factor_for_class(k) for k in pair)
-        P = build_product(F1, F2, *ab, validate=False)
+        P = build_product(F1, F2, *ab)
         points = pts(P, 8)
         pd = product.ProductData(JET, P, points)
         for which, report in self.REPORTS.items():
@@ -780,8 +775,7 @@ def test_koszul_matches_the_generic_computation_everywhere(k1, k2, a, b,
                                                            sign, seed):
     """README: the koszul variants match the oracle on the built-in models."""
     P = build_product(contact.factor_for_class(k1),
-                      contact.factor_for_class(k2), a, sign * b,
-                      validate=False)
+                      contact.factor_for_class(k2), a, sign * b)
     points = sample_points(P.chart, 6, seed)
     for report in (connection_closed_form_report, nabla_J_report,
                    curvature_closed_form_report):
@@ -972,7 +966,7 @@ class TestArgumentAxisAgainstPerArgumentOracle:
         return F1, F2
 
     def check(self, monkeypatch, F1, F2, ab, mode, n, broken_j=False):
-        P = build_product(F1, F2, *ab, validate=False, broken_j=broken_j)
+        P = build_product(F1, F2, *ab, broken_j=broken_j)
         points = pts(P, n, seed=n)
         ev = Evaluator(mode)
         feeds = []
@@ -1046,7 +1040,7 @@ def _factor_chart_span(F):
 def test_factor_chart_stacks_are_blocks_of_the_product_chart(pair, mode):
     F1, F2 = (_kenmotsu_beta2() if pair is None
               else [builtin_factor(n) for n in pair])
-    P = build_product(F1, F2, -2.0, 3.0, validate=False)
+    P = build_product(F1, F2, -2.0, 3.0)
     ev = Evaluator(mode)
     pd = product.ProductData(ev, P, pts(P, 32))
     for w, F in ((1, F1), (2, F2)):
@@ -1082,7 +1076,7 @@ SPAN_CASES = {"sas-ken": ((SAS, KEN), None), "ken-sas": ((KEN, SAS), None),
 def test_span_stacks_equal_the_spanning_field_oracle(case, mode):
     pair, phi_scale = SPAN_CASES[case]
     F1, F2 = TestArgumentAxisAgainstPerArgumentOracle.factors(pair, phi_scale)
-    P = build_product(F1, F2, 1.0, 2.0, validate=False)
+    P = build_product(F1, F2, 1.0, 2.0)
     ev = Evaluator(mode)
     pd = product.ProductData(ev, P, pts(P, 7))
     for w in (1, 2):

@@ -352,7 +352,7 @@ class TestSymmetricDT:
     def _metrics():
         sas = builtin_factor("sasakian_heisenberg")
         ken = builtin_factor("kenmotsu_warped")
-        P = build_product(sas, ken, 1.0, 1.0, validate=False)
+        P = build_product(sas, ken, 1.0, 1.0)
         return {"sasakian_heisenberg": (sas.structure.g, sas.chart),
                 "product": (P.G, P.chart)}
 
