@@ -52,21 +52,25 @@ DEFAULTS = {"tol": 1e-6, "count": 64, "seed": 7, "mode": "jet",
             "fd_step": 1e-3}
 
 
+def _number(value, path, kind, convert):
+    """convert(value) for a manifest number or numeric string; a JSON
+    boolean is not a number."""
+    if not isinstance(value, bool):
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ManifestError(path, f"expected {kind}, got {value!r}")
+
+
 def _finite(value, path):
-    """A finite float from a manifest number or numeric string."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ManifestError(path, f"expected a number, got {value!r}") from None
+    x = _number(value, path, "a number", float)
     _expect(math.isfinite(x), path, f"expected a finite number, got {value!r}")
     return x
 
 
 def _integer(value, path):
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ManifestError(path, f"expected an integer, got {value!r}") from None
+    return _number(value, path, "an integer", int)
 
 
 # Validators shared by the manifest fields and the command-line flags that
@@ -125,8 +129,8 @@ def _load_factor(entry, path):
         F = factor_from_spec(entry["custom"], f"{path}.custom")
     else:
         raise ManifestError(path, "need either 'builtin' or 'custom'")
-    tamper = entry.get("tamper")
-    if tamper:
+    if "tamper" in entry:
+        tamper = entry["tamper"]
         _expect(isinstance(tamper, dict), f"{path}.tamper", "expected object")
         scale = tamper.get("phi_scale")
         if scale is not None:
@@ -369,10 +373,12 @@ def exit_code_for(report_dict) -> int:
 
 
 def emit(report_dict, fmt) -> str:
-    """Render a report: canonical JSON or markdown."""
+    """Render a run or classify report: canonical JSON or markdown."""
     if fmt == "json":
         return canonical_json(report_dict)
     if fmt == "markdown" or fmt == "md":
+        if "classification" in report_dict:
+            return classification_markdown(report_dict)
         return run_report_markdown(report_dict)
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -490,15 +496,17 @@ def main(argv=None) -> int:
             return _finish(run(mf), args)
         if args.command == "classify":
             mf = _apply_flags(load_manifest(args.manifest), args)
-            rep = classify(mf)
-            _write(canonical_json(rep) if args.format == "json"
-                   else classification_markdown(rep), args)
-            return exit_code_for(rep)
+            return _finish(classify(mf), args)
         if args.command == "report":
             try:
                 data = json.loads(Path(args.report_file).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ManifestError("$", f"cannot read report: {exc}")
+            rows = (data.get("checks", data.get("classification"))
+                    if isinstance(data, dict) else None)
+            _expect(isinstance(rows, list) and "overall_verdict" in data
+                    and all(isinstance(r, dict) for r in rows), "$",
+                    "expected a saved verify, table1 or classify report")
             _write(emit(data, args.format), args)
             return EXIT_OK
     except ManifestError as exc:

@@ -12,7 +12,7 @@ oracle for the jet engine; it is selected per run, never mixed per call.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -388,19 +388,9 @@ def parse(text: str, coords) -> Expression:
     return _Parser(text, names).parse()
 
 
-def render(e: Expression) -> str:
-    """Serialize an AST; parse(render(e)) reproduces e structurally."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Coord):
-        return f"c{e.index}"  # placeholder names, see render_named
-    if isinstance(e, Unary):
-        return f"{e.op}({render(e.arg)})"
-    return f"({render(e.left)} {e.op} {render(e.right)})"
-
-
 def render_named(e: Expression, names) -> str:
-    """Serialize using the chart's coordinate names."""
+    """Serialize using the chart's coordinate names; parsing the text over
+    the same names reproduces e structurally."""
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Coord):
@@ -419,6 +409,8 @@ class Jet2:
 
     Supports a leading batch shape: value (...,), grad (..., d),
     hess (..., d, d). All operations keep the Hessian exactly symmetric.
+    Jet2 has the arithmetic and the chain rule; functions, powers and their
+    domains belong to the expression walk below.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -452,6 +444,8 @@ class Jet2:
         return Jet2(-self.value, -self.grad, -self.hess)
 
     def __mul__(self, o):
+        if not isinstance(o, Jet2):  # a constant factor
+            return Jet2(self.value * o, self.grad * o, self.hess * o)
         v = self.value * o.value
         g = self.grad * o.value[..., None] + o.grad * self.value[..., None]
         cross = (self.grad[..., :, None] * o.grad[..., None, :]
@@ -460,9 +454,7 @@ class Jet2:
              + o.hess * self.value[..., None, None] + cross)
         return Jet2(v, g, h)
 
-    def divide(self, o, point):
-        if np.any(o.value == 0.0):
-            raise EvalDomainError("/", _first_bad(point, o.value == 0.0))
+    def __truediv__(self, o):
         v = self.value / o.value
         g = (self.grad - o.grad * v[..., None]) / o.value[..., None]
         cross = (g[..., :, None] * o.grad[..., None, :]
@@ -470,194 +462,167 @@ class Jet2:
         h = (self.hess - cross - o.hess * v[..., None, None]) / o.value[..., None, None]
         return Jet2(v, g, h)
 
-    def _chain(self, v, d1, d2):
+    def chain(self, v, d1, d2):
+        """f(self), from v = f(value) and f', f'' at the value."""
         g = self.grad * d1[..., None]
         outer = self.grad[..., :, None] * self.grad[..., None, :]
         h = self.hess * d1[..., None, None] + outer * d2[..., None, None]
         return Jet2(v, g, h)
 
-    def sin(self):
-        return self._chain(np.sin(self.value), np.cos(self.value), -np.sin(self.value))
 
-    def cos(self):
-        return self._chain(np.cos(self.value), -np.sin(self.value), -np.cos(self.value))
+# ---------------------------------------------------------------------------
+# The expression walk, of values (eval_value) or of jets (eval_jet_batch)
+# ---------------------------------------------------------------------------
 
-    def exp(self):
-        e = np.exp(self.value)
-        return self._chain(e, e, e)
+# name -> (f, f', f''), the derivatives as functions of the argument x and
+# the value v = f(x)
+_FUNCTIONS = {
+    "sin": (np.sin, lambda x, v: np.cos(x), lambda x, v: -v),
+    "cos": (np.cos, lambda x, v: -np.sin(x), lambda x, v: -v),
+    "exp": (np.exp, lambda x, v: v, lambda x, v: v),
+    "log": (np.log, lambda x, v: 1.0 / x, lambda x, v: -1.0 / x ** 2),
+    "sqrt": (np.sqrt, lambda x, v: 0.5 / v, lambda x, v: -0.25 / (v * x)),
+}
 
-    def log(self, point):
-        if np.any(self.value <= 0.0):
-            raise EvalDomainError("log", _first_bad(point, self.value <= 0.0))
-        v = np.log(self.value)
-        return self._chain(v, 1.0 / self.value, -1.0 / self.value ** 2)
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
 
-    def sqrt(self, point):
-        if np.any(self.value < 0.0):
-            raise EvalDomainError("sqrt", _first_bad(point, self.value < 0.0))
-        if np.any(self.value == 0.0):
-            raise EvalDomainError("sqrt", _first_bad(point, self.value == 0.0))
-        s = np.sqrt(self.value)
-        return self._chain(s, 0.5 / s, -0.25 / (s * self.value))
 
-    def powi(self, n, point):
-        """Integer power by repeated multiplication (exact products)."""
-        if n == 0:
-            return Jet2.constant(1.0, self.value.shape, self.grad.shape[-1])
-        m = abs(n)
-        out = self
-        for _ in range(m - 1):
-            out = out * self
-        if n < 0:
-            one = Jet2.constant(1.0, self.value.shape, self.grad.shape[-1])
-            out = one.divide(out, point)
+def _check_domain(op, x, points, *, jet=False, expo=None):
+    """The walk's one domain table: raise EvalDomainError(op) at the first
+    point where x is outside the domain of op.
+
+    log needs x > 0; sqrt needs x >= 0, and x > 0 when derivatives are
+    taken (jet); '/' needs a non-zero divisor x. For '^' with a non-integer
+    exponent, x is the base and must be positive; with a negative integer
+    exponent n, x is the base's power |n| and must not be 0, so a zero base
+    and a power that underflows to 0 both raise.
+    """
+    if op == "log":
+        bad = x <= 0.0
+    elif op == "sqrt":
+        bad = x < 0.0
+        if jet and not np.any(bad):
+            bad = x == 0.0
+    elif op == "^" and not float(expo).is_integer():
+        bad = ~(x > 0.0)
+    elif op in ("/", "^"):
+        bad = x == 0.0
+    else:
+        return
+    if np.any(bad):  # named by the first point of the batch where it fails
+        first = points.reshape(-1, points.shape[-1])[np.argmax(bad)]
+        raise EvalDomainError(op, first)
+
+
+def _value(a):
+    return a.value if isinstance(a, Jet2) else a
+
+
+def _one(a):
+    """1 in the shape of a, a Jet2 or an array of values."""
+    if isinstance(a, Jet2):
+        return Jet2.constant(1.0, a.value.shape, a.grad.shape[-1])
+    return np.ones(a.shape)
+
+
+def _where(mask, a, b):
+    """a where mask holds and b elsewhere, for two Jet2s or two arrays."""
+    if isinstance(a, Jet2):
+        return Jet2(np.where(mask, a.value, b.value),
+                    np.where(mask[..., None], a.grad, b.grad),
+                    np.where(mask[..., None, None], a.hess, b.hess))
+    return np.where(mask, a, b)
+
+
+def _function(name, a, points):
+    """name(a) for a name of _FUNCTIONS, by the chain rule if a is a Jet2."""
+    if name not in _FUNCTIONS:
+        raise ValueError(f"unknown function {name}")
+    jet = isinstance(a, Jet2)
+    x = _value(a)
+    _check_domain(name, x, points, jet=jet)
+    f, d1, d2 = _FUNCTIONS[name]
+    v = f(x)
+    return a.chain(v, d1(x, v), d2(x, v)) if jet else v
+
+
+def _products(a, n, points):
+    """a^n for an integer n by repeated products; a negative n takes the
+    reciprocal of the power |n|."""
+    if n == 0:
+        return _one(a)
+    out = a
+    for _ in range(abs(n) - 1):
+        out = out * a
+    if n > 0:
         return out
+    _check_domain("^", _value(out), points, expo=n)
+    return _one(a) / out
 
 
-def _first_bad(point, mask):
-    """First point of the batch where the domain violation occurred."""
-    pts = np.asarray(point, dtype=float)
-    if pts.ndim <= 1:
-        return pts
-    flat_pts = pts.reshape(-1, pts.shape[-1])
-    flat_mask = np.broadcast_to(np.asarray(mask), pts.shape[:-1]).reshape(-1)
-    return flat_pts[int(np.argmax(flat_mask))]
+def _power(a, expo, points):
+    """a^expo by the one power route.
+
+    An integer exponent of magnitude at most _POW_MUL_LIMIT is a repeated
+    product. Any other power is exp(expo * log(a)) where a > 0, and (an
+    integer power) a repeated product where a <= 0.
+    """
+    x = _value(a)
+    if not float(expo).is_integer():
+        _check_domain("^", x, points, expo=expo)
+    elif abs(expo) <= _POW_MUL_LIMIT:
+        return _products(a, int(expo), points)
+    pos = x > 0.0
+    out = _function("exp", _function("log", _where(pos, a, _one(a)), points)
+                    * expo, points)
+    if pos.all():
+        return out
+    return _where(pos, out, _products(a, int(expo), points))
+
+
+def _node(e, points, jet):
+    """One node of the expression walk, for values or (jet) for Jet2s.
+
+    eval_value and eval_jet_batch both call it, and it evaluates the
+    children through the module global of the one that called, so a value
+    is the same numpy operations whether or not derivatives come with it.
+    A bare point (d,) is evaluated as a one-row batch, so that it rounds
+    exactly as the same point does inside a batch.
+    """
+    walk = eval_jet_batch if jet else eval_value
+    if points.ndim == 1:
+        out = walk(e, points[None])
+        return Jet2(out.value[0], out.grad[0], out.hess[0]) if jet else out[0]
+    shape, d = points.shape[:-1], points.shape[-1]
+    if isinstance(e, Const):
+        return Jet2.constant(e.value, shape, d) if jet else np.full(shape, e.value)
+    if isinstance(e, Coord):
+        if e.index >= d:
+            raise ValueError(f"coordinate index {e.index} out of range for dim {d}")
+        return Jet2.coordinate(e.index, points) if jet else points[..., e.index].copy()
+    if isinstance(e, Unary):
+        a = walk(e.arg, points)
+        return -a if e.op == "neg" else _function(e.op, a, points)
+    if isinstance(e, Binary):
+        a = walk(e.left, points)
+        if e.op == "^":
+            return _power(a, e.right.value, points)
+        b = walk(e.right, points)
+        if e.op == "/":
+            _check_domain("/", _value(b), points)
+        return _ARITHMETIC[e.op](a, b)
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def eval_jet_batch(e: Expression, points: np.ndarray) -> Jet2:
-    """Evaluate at points of shape (..., d); returns batched Jet2.
-
-    A bare point (d,) is evaluated as a one-row batch, so that it rounds
-    exactly as the same point does inside a batch.
-    """
-    if points.ndim == 1:
-        j = eval_jet_batch(e, points[None])
-        return Jet2(j.value[0], j.grad[0], j.hess[0])
-    if isinstance(e, Const):
-        return Jet2.constant(e.value, points.shape[:-1], points.shape[-1])
-    if isinstance(e, Coord):
-        return Coord_eval(e, points)
-    if isinstance(e, Unary):
-        a = eval_jet_batch(e.arg, points)
-        if e.op == "neg":
-            return -a
-        if e.op == "sin":
-            return a.sin()
-        if e.op == "cos":
-            return a.cos()
-        if e.op == "exp":
-            return a.exp()
-        if e.op == "log":
-            return a.log(points)
-        if e.op == "sqrt":
-            return a.sqrt(points)
-        raise ValueError(f"unknown function {e.op}")
-    if isinstance(e, Binary):
-        if e.op == "^":
-            base = eval_jet_batch(e.left, points)
-            expo = e.right.value
-            integer = float(expo).is_integer()
-            pos = _pow_domain(base.value, expo, integer, points)
-            if integer and abs(expo) <= _POW_MUL_LIMIT:
-                return base.powi(int(expo), points)
-            # exp(e * log(base)) where the base is positive
-            lg = Jet2(np.where(pos, base.value, 1.0), base.grad,
-                      base.hess).log(points)
-            out = Jet2(lg.value * expo, lg.grad * expo, lg.hess * expo).exp()
-            if pos.all():
-                return out
-            # an integer power of a non-positive base: repeated products
-            mul = base.powi(int(expo), points)
-            return Jet2(np.where(pos, out.value, mul.value),
-                        np.where(pos[..., None], out.grad, mul.grad),
-                        np.where(pos[..., None, None], out.hess, mul.hess))
-        a = eval_jet_batch(e.left, points)
-        b = eval_jet_batch(e.right, points)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return a.divide(b, points)
-        raise ValueError(f"unknown operator {e.op}")
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def Coord_eval(e, points):
-    if e.index >= points.shape[-1]:
-        raise ValueError(f"coordinate index {e.index} out of range for dim {points.shape[-1]}")
-    return Jet2.coordinate(e.index, points)
-
-
-def _pow_domain(base, expo, integer, points):
-    """The domain of base^expo, checked before either route is taken.
-
-    A non-integer power needs a positive base everywhere, and a negative
-    integer power a non-zero one; anything else raises EvalDomainError('^').
-    Returns the mask of positive bases, where the exp-log route applies.
-    """
-    pos = base > 0.0
-    bad = ~pos if not integer else (base == 0.0) & (expo < 0)
-    if np.any(bad):
-        raise EvalDomainError("^", _first_bad(points, bad))
-    return pos
+    """Evaluate at points of shape (..., d); returns batched Jet2."""
+    return _node(e, points, True)
 
 
 def eval_value(e: Expression, points: np.ndarray):
-    """Plain value evaluation (no derivatives); used by the FD oracle.
-
-    A bare point (d,) is evaluated as a one-row batch, so that it rounds
-    exactly as the same point does inside a batch.
-    """
-    if points.ndim == 1:
-        return eval_value(e, points[None])[0]
-    if isinstance(e, Const):
-        return np.full(points.shape[:-1], e.value)
-    if isinstance(e, Coord):
-        return points[..., e.index].copy()
-    if isinstance(e, Unary):
-        a = eval_value(e.arg, points)
-        if e.op == "neg":
-            return -a
-        if e.op == "sin":
-            return np.sin(a)
-        if e.op == "cos":
-            return np.cos(a)
-        if e.op == "exp":
-            return np.exp(a)
-        if e.op == "log":
-            if np.any(a <= 0.0):
-                raise EvalDomainError("log", _first_bad(points, a <= 0.0))
-            return np.log(a)
-        if e.op == "sqrt":
-            if np.any(a < 0.0):
-                raise EvalDomainError("sqrt", _first_bad(points, a < 0.0))
-            return np.sqrt(a)
-    if isinstance(e, Binary):
-        if e.op == "^":
-            a = eval_value(e.left, points)
-            expo = e.right.value
-            integer = float(expo).is_integer()
-            pos = _pow_domain(a, expo, integer, points)
-            if integer and abs(expo) <= _POW_MUL_LIMIT:
-                return a ** int(expo)
-            out = np.exp(expo * np.log(np.where(pos, a, 1.0)))
-            return out if pos.all() else np.where(pos, out, a ** int(expo))
-        a = eval_value(e.left, points)
-        b = eval_value(e.right, points)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if np.any(b == 0.0):
-                raise EvalDomainError("/", _first_bad(points, b == 0.0))
-            return a / b
-    raise TypeError(f"not an expression: {e!r}")
+    """Plain value evaluation (no derivatives); used by the FD oracle."""
+    return _node(e, points, False)
 
 
 def eval_jet(e: Expression, p) -> Jet2:

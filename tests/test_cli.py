@@ -144,6 +144,36 @@ class TestManifest:
         assert main(["verify", m]) == EXIT_CONFIG
         assert f"configuration error: {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, path", [
+        ({"sampling": {"count": True, "seed": False},
+          "numerics": {"tol": True}, "product": {"a": True, "b": True}},
+         "$.product.a"),
+        ({"sampling": {"count": True}}, "$.sampling.count"),
+        ({"sampling": {"seed": False}}, "$.sampling.seed"),
+        ({"numerics": {"tol": True}}, "$.numerics.tol"),
+        ({"numerics": {"fd_step": True}}, "$.numerics.fd_step"),
+        ({"product": {"a": 1, "b": True}}, "$.product.b"),
+        ({"product": {"grid": [[1, 1], [False, 1]]}},
+         "$.product.grid[1][0]"),
+        ({"sampling": {"box": {"x": [False, 1]}}}, "$.sampling.box.x[0]"),
+        ({"factors": [{"builtin": "cosymplectic_flat",
+                       "tamper": {"phi_scale": True}},
+                      {"builtin": "cosymplectic_flat"}]},
+         "$.factors[0].tamper.phi_scale"),
+        ({"factors": [{"builtin": "cosymplectic_flat", "tamper": []},
+                      {"builtin": "cosymplectic_flat"}]},
+         "$.factors[0].tamper"),
+        ({"factors": [{"builtin": "cosymplectic_flat"},
+                      {"builtin": "cosymplectic_flat", "tamper": 0}]},
+         "$.factors[1].tamper"),
+    ], ids=["all_booleans", "count", "seed", "tol", "fd_step", "b", "grid",
+            "box", "phi_scale", "tamper_empty_list", "tamper_zero"])
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, edit,
+                                          path):
+        m = write_manifest(tmp_path, dict(MINIMAL, **edit))
+        assert main(["verify", m]) == EXIT_CONFIG
+        assert f"configuration error: {path}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("src, where", [
         ("1e999", "g"), ("1e200*1e200", "g"), ("x*1e999", "phi"),
         ("-1e999", "alpha"), ("1e308+1e308", "beta"),
@@ -387,6 +417,32 @@ class TestEmitAndMain:
         assert c2["class"] == "kenmotsu"
         assert abs(c2["beta"] - 1.0) < 1e-7
 
+    def test_report_renders_a_saved_classify_report(self, tmp_path, capsys):
+        m = write_manifest(tmp_path, dict(MINIMAL, sampling={"count": 4}))
+        saved = tmp_path / "c.json"
+        main(["classify", m, "--out", str(saved)])
+        main(["classify", m, "--format", "md"])
+        want = capsys.readouterr().out
+        assert main(["report", str(saved), "--format", "md"]) == EXIT_OK
+        shown = capsys.readouterr().out
+        assert shown == want
+        assert "f1 (cosymplectic_flat) |" in shown
+
+    @pytest.mark.parametrize("data", [
+        {"engine": {"name": "tsgeom"}}, [1, 2], "report", {"checks": [1]},
+        {"checks": [], "classification": []},
+    ], ids=["object", "list", "string", "check_not_object",
+            "no_verdict"])
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_report_of_something_else_exit_2(self, tmp_path, capsys, data,
+                                             fmt):
+        saved = tmp_path / "r.json"
+        saved.write_text(json.dumps(data))
+        assert main(["report", str(saved), "--format", fmt]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error: $: expected a saved" in captured.err
+
     def test_classify_samples_the_overridden_box(self, monkeypatch):
         seen = []
 
@@ -539,6 +595,23 @@ class TestErrorCapture:
         assert chk["details"]["error"].startswith("EvalDomainError: ")
         assert chk["details"]["error_origin"].startswith("tsgeom.expr.")
 
+    def test_domain_error_has_one_origin_in_both_modes(self):
+        # jets and the fd stencil's values go through one walk, which has
+        # one place that raises a domain error
+        origins = set()
+        for mode in ("jet", "fd"):
+            out = run(resolve_manifest({
+                "factors": [{"builtin": "sasakian_heisenberg"},
+                            {"custom": self.LOG_FACTOR}],
+                "checks": ["trans_sasakian"],
+                "sampling": {"count": 6},
+                "numerics": {"mode": mode},
+            }))
+            details = out["checks"][1]["details"]
+            assert "domain error in 'log'" in details["error"]
+            origins.add(details["error_origin"])
+        assert origins == {"tsgeom.expr._check_domain"}
+
     # g_xx = log(t) is undefined on the t <= 0 half of the sampling box, so
     # classify cannot evaluate the metric there
     LOG_METRIC = dict(LOG_FACTOR, name="log_g", alpha="0",
@@ -560,7 +633,7 @@ class TestErrorCapture:
         info = json.loads(capsys.readouterr().out)["classification"][1]
         assert info["class"] == "unverified"
         assert info["error"].startswith("EvalDomainError: domain error in 'log'")
-        assert info["error_origin"] == "tsgeom.expr.log"
+        assert info["error_origin"] == "tsgeom.expr._check_domain"
 
     def test_classify_markdown_shows_why_a_factor_is_unverified(
             self, tmp_path, capsys):
@@ -570,5 +643,5 @@ class TestErrorCapture:
         assert "f2 (log_g) |  |  |  | unverified" in text
         assert "\n## Errors\n- f2 (log_g): EvalDomainError: domain error " \
                "in 'log' at point (" in text
-        assert "(raised in `tsgeom.expr.log`)" in text
+        assert "(raised in `tsgeom.expr._check_domain`)" in text
         assert text.count("raised in") == 1

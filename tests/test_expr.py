@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgeom import cli, contact, expr, geom
 from tsgeom.expr import (
@@ -282,6 +284,85 @@ class TestPowersAndShapes:
             assert j.value == batch.value[i]
             assert np.array_equal(j.grad, batch.grad[i])
             assert np.array_equal(j.hess, batch.hess[i])
+
+
+# ---------------------------------------------------------------------------
+# Values and jets come out of one walk
+# ---------------------------------------------------------------------------
+
+LEAVES = st.one_of(
+    st.builds(Coord, st.integers(0, 1)),
+    st.builds(Const, st.sampled_from([0.0, 0.5, 1.0, 2.0, -3.0])))
+
+EXPONENTS = [-9.0, -8.0, -3.0, -1.0, 0.0, 2.0, 3.0, 7.0, 9.0, 0.5, -1.5, 2.5]
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(expr.FUNCTIONS), children),
+        st.builds(Binary, st.sampled_from("+-*/"), children, children),
+        st.builds(lambda base, n: Binary("^", base, Const(n)), children,
+                  st.sampled_from(EXPONENTS)))
+
+
+EXPRESSIONS = st.recursive(LEAVES, _extend, max_leaves=8)
+COORDINATES = st.one_of(st.floats(-3.0, 3.0),
+                        st.sampled_from([0.0, 1e-50, -1e-50, 1.0]))
+POINTS = st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1,
+                  max_size=4).map(np.array)
+
+
+def _outcome(walk, e, points):
+    """The walk's result, or the (op, point) of its domain error."""
+    try:
+        with np.errstate(all="ignore"):
+            return walk(e, points), None
+    except EvalDomainError as err:
+        return None, (err.op, err.point)
+
+
+def _sqrt_of_zero_at(e, point):
+    """Whether some sqrt in e has an argument of exactly 0 at point."""
+    if isinstance(e, Unary):
+        if e.op == "sqrt":
+            arg, err = _outcome(eval_value, e.arg, np.array(point))
+            if err is None and arg == 0.0:
+                return True
+        return _sqrt_of_zero_at(e.arg, point)
+    if isinstance(e, Binary):
+        return _sqrt_of_zero_at(e.left, point) or _sqrt_of_zero_at(
+            e.right, point)
+    return False
+
+
+class TestOneWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(EXPRESSIONS, POINTS)
+    def test_values_and_jets_agree(self, e, points):
+        value, value_err = _outcome(eval_value, e, points)
+        jet, jet_err = _outcome(expr.eval_jet_batch, e, points)
+        if value_err is None and jet_err is None:
+            assert value.tobytes() == jet.value.tobytes()
+        elif value_err != jet_err:
+            # sqrt at exactly 0 has a value but no derivative
+            assert jet_err is not None and jet_err[0] == "sqrt"
+            assert _sqrt_of_zero_at(e, jet_err[1])
+
+    def test_integer_power_is_one_product_in_both_walks(self):
+        e = parse("x^3", ["x"])
+        pts = np.random.default_rng(0).uniform(0.1, 3.0, size=(10_000, 1))
+        values = eval_value(e, pts)
+        assert values.tobytes() == expr.eval_jet_batch(e, pts).value.tobytes()
+        assert values.tobytes() == ((pts[:, 0] * pts[:, 0]) * pts[:, 0]).tobytes()
+
+    @pytest.mark.parametrize("mode, call", [
+        ("jet", "value"), ("jet", "jet"), ("fd", "jet")])
+    def test_negative_power_that_underflows_names_the_power(self, mode, call):
+        # 1e-50^8 underflows to 0, so x^-8 has no finite value there
+        ev = Evaluator(mode)
+        with pytest.raises(EvalDomainError) as err:
+            getattr(ev, call)(parse("x^-8", ["x"]), np.array([[1e-50]]))
+        assert (err.value.op, err.value.point) == ("^", (1e-50,))
 
 
 # ---------------------------------------------------------------------------
